@@ -32,7 +32,12 @@ from .qmath import (
     tensor_power,
 )
 from .sdp import SDP_DIM_LIMIT, ToleranceVector, solve_min_fail
-from .state_ud import _pf_fast
+from .state_ud import (
+    _pf_fast,
+    depolarizing_pair_fidelity,
+    erasure_pair_fidelity,
+    pure_pair_pf_batch,
+)
 
 _TP_TOL = 1e-10
 
@@ -76,7 +81,6 @@ class KrausChannel:
 class ChannelEnsemble:
     channels: tuple[KrausChannel, ...]
     priors: np.ndarray
-    tele_covariant_jointly: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -178,22 +182,6 @@ def exact_simulation_model(n_channels: int = 2) -> Callable[[int], SimulationErr
     return model
 
 
-def _pair_pf_grid(
-    f_pow: float, er_p: np.ndarray, er_q: np.ndarray, prior_p: float, prior_q: float
-) -> np.ndarray:
-    """Pure-pair failure probabilities at overlap f_pow over tolerance arrays."""
-    xi = min(max(f_pow, 1e-12), 1.0 - 1e-12)
-    if abs(prior_p - prior_q) < 1e-12:
-        w = np.sqrt(er_p * (1.0 - er_q)) + np.sqrt(er_q * (1.0 - er_p))
-        w = np.where(er_p + er_q >= 1.0, 1.0, w)
-        with np.errstate(divide="ignore"):
-            raw = 1.0 - (1.0 - xi) / (1.0 - np.minimum(w, 1.0 - 1e-300))
-        return np.clip(np.where(w >= xi, 0.0, raw), 0.0, 1.0)
-    from .state_ud import pure_pair_pf_batch
-
-    return pure_pair_pf_batch(xi, er_p, er_q, prior_p, prior_q)
-
-
 def channel_fail_lower_bound(
     choi_fidelity: float,
     rounds: int,
@@ -225,13 +213,14 @@ def channel_fail_lower_bound(
         raise ValueError("simulation errors must be nonnegative")
     p, q = priors
     u = rounds
-    f_pow = choi_fidelity_power(choi_fidelity, u, ports)
+    # the pair kernel needs an overlap strictly inside (0, 1)
+    xi = min(max(choi_fidelity_power(choi_fidelity, u, ports), 1e-12), 1.0 - 1e-12)
     u_delta = u * np.array([delta_p, delta_q])
     dbar_half = 0.5 * u * (p * delta_p + q * delta_q)
 
     ts = np.linspace(0.0, 1.0, grid)
     ep_g, eq_g = np.meshgrid(ts, ts, indexing="ij")
-    pf = _pair_pf_grid(f_pow, ep_g.ravel(), eq_g.ravel(), p, q)
+    pf = pure_pair_pf_batch(xi, ep_g.ravel(), eq_g.ravel(), p, q)
     implied_p = (1.0 - pf) * ep_g.ravel() - u_delta[0]
     implied_q = (1.0 - pf) * eq_g.ravel() - u_delta[1]
     valid = (implied_p >= e_req[0] - 1e-12) & (implied_q >= e_req[1] - 1e-12)
@@ -248,12 +237,10 @@ def channel_fail_lower_bound(
     # refine by bisection along candidate rays: the implied tolerance grows
     # monotonically with the ray parameter, so the smallest feasible point on
     # a ray carries the largest bound on it
-    xi_eff = min(max(f_pow, 1e-12), 1.0 - 1e-12)
-
     def refine(direction: np.ndarray) -> tuple[float, np.ndarray] | None:
         def probe(t: float) -> tuple[bool, float, np.ndarray]:
             er = np.clip(t * direction, 0.0, 1.0)
-            pf_t = _pf_fast(xi_eff, er[0], er[1], p, q)
+            pf_t = _pf_fast(xi, er[0], er[1], p, q)
             impl = (1.0 - pf_t) * er - u_delta
             return bool(np.all(impl >= e_req - 1e-12)), pf_t, er
 
@@ -423,29 +410,26 @@ def amplitude_damping_choi_fidelity(r_p: float, r_q: float) -> float:
 
 
 def pauli_pair_ensemble(eta: float) -> ChannelEnsemble:
-    """Equal-prior noisy identity-vs-Z gate pair (jointly tele-covariant)."""
+    """Equal-prior noisy identity-vs-Z gate pair."""
     return ChannelEnsemble(
         (pauli_gate_channel("I", eta), pauli_gate_channel("Z", eta)),
         np.array([0.5, 0.5]),
-        tele_covariant_jointly=True,
     )
 
 
 def erasure_pair_ensemble(eta: float, overlap: float) -> ChannelEnsemble:
-    """Equal-prior pair of erasure channels (jointly tele-covariant)."""
+    """Equal-prior pair of erasure channels."""
     return ChannelEnsemble(
         (erasure_channel(1, eta, overlap), erasure_channel(2, eta, overlap)),
         np.array([0.5, 0.5]),
-        tele_covariant_jointly=True,
     )
 
 
 def amplitude_damping_pair_ensemble(r_p: float, r_q: float) -> ChannelEnsemble:
-    """Equal-prior amplitude-damping pair (not tele-covariant)."""
+    """Equal-prior amplitude-damping pair."""
     return ChannelEnsemble(
         (amplitude_damping_channel(r_p), amplitude_damping_channel(r_q)),
         np.array([0.5, 0.5]),
-        tele_covariant_jointly=False,
     )
 
 
@@ -461,7 +445,7 @@ def classical_pauli_bound(
     The best unentangled probe is an equator state; the two output states
     then have fidelity sqrt(1 - eta^2), and the tele-covariant bound applies
     with that fidelity in place of the Choi fidelity."""
-    f_cl = float(np.sqrt(max(0.0, 1.0 - eta * eta)))
+    f_cl = CHANNEL_MODELS["classical-pauli"].fidelity(eta)
     return channel_fail_lower_bound(
         f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, grid=grid, classical=True
     )
@@ -473,10 +457,47 @@ def classical_erasure_bound(
     """Classical baseline for the erasure pair: a fixed input yields output
     fidelity eta*overlap + (1 - eta), identical to the Choi fidelity, so the
     classical and entangled bounds coincide."""
-    f_cl = float(eta * abs(overlap) + (1.0 - eta))
+    f_cl = CHANNEL_MODELS["classical-erasure"].fidelity(eta, overlap)
     return channel_fail_lower_bound(
         f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, grid=grid, classical=True
     )
+
+
+# ---------------------------------------------------------------------------
+# model table
+
+
+@dataclass(frozen=True)
+class ChannelModel:
+    """A named pair of equal-prior channels (or of classical probe outputs).
+
+    fidelity takes the parameters in the order listed and returns the Choi
+    fidelity of the pair, or the output fidelity of the best unentangled
+    probe for a classical model. A tele-covariant pair is simulated exactly
+    with one port per round; any other pair needs port-based teleportation.
+    """
+
+    params: tuple[str, ...]
+    fidelity: Callable[..., float]
+    tele_covariant: bool
+    classical: bool = False
+
+
+CHANNEL_MODELS: dict[str, ChannelModel] = {
+    # noisy identity-vs-Z gates: their Choi states are the depolarizing pair
+    "pauli": ChannelModel(("eta",), depolarizing_pair_fidelity, True),
+    # erasure onto two error states: the Choi states are the erasure mixture
+    "erasure": ChannelModel(("eta", "overlap"), erasure_pair_fidelity, True),
+    "ad": ChannelModel(("r_p", "r_q"), amplitude_damping_choi_fidelity, False),
+    # an equator probe of the Pauli pair gives output fidelity sqrt(1 - eta^2)
+    "classical-pauli": ChannelModel(
+        ("eta",), lambda eta: float(np.sqrt(max(0.0, 1.0 - eta * eta))), True, True
+    ),
+    # any fixed probe of the erasure pair: eta |overlap| + (1 - eta)
+    "classical-erasure": ChannelModel(
+        ("eta", "overlap"), lambda eta, overlap: float(eta * abs(overlap) + (1.0 - eta)), True, True
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -230,17 +230,17 @@ def _cmd_state_mixed(args) -> int:
 # ---------------------------------------------------------------------------
 # channel
 
+# config keys of the channel models and their defaults
+_CHANNEL_DEFAULTS = {"eta": 0.6, "overlap": 0.3, "r_p": 0.9, "r_q": 0.8}
+
 
 def _cmd_channel(args) -> int:
     cfg = _load_config(args.config)
     model = cfg.get("model", args.model)
-    valid_models = ("pauli", "erasure", "ad", "classical-pauli", "classical-erasure")
-    if model not in valid_models:
-        raise ValueError(f"channel model must be one of {valid_models}")
-    eta = float(cfg.get("eta", 0.6))
-    overlap = float(cfg.get("overlap", 0.3))
-    r_p = float(cfg.get("r_p", 0.9))
-    r_q = float(cfg.get("r_q", 0.8))
+    if model not in cu.CHANNEL_MODELS:
+        raise ValueError(f"channel model must be one of {tuple(cu.CHANNEL_MODELS)}")
+    spec = cu.CHANNEL_MODELS[model]
+    values = {k: float(cfg.get(k, default)) for k, default in _CHANNEL_DEFAULTS.items()}
     rounds_list = [int(u) for u in cfg.get("rounds", [1, 2, 3])]
     grid = args.grid or int(cfg.get("grid", 30))
     eps_max = float(cfg.get("eps_max", 0.3))
@@ -251,26 +251,8 @@ def _cmd_channel(args) -> int:
     header = ["command", "model", "kind", "eta", "overlap", "r_p", "r_q", "u",
               "ports", "eps", "bound", "eps_r_p", "eps_r_q", "classical", "vacuous"]
     base = {"command": "channel", "model": model,
-            "eta": eta if "pauli" in model or model == "erasure" or model == "classical-erasure" else None,
-            "overlap": overlap if "erasure" in model else None,
-            "r_p": r_p if model == "ad" else None,
-            "r_q": r_q if model == "ad" else None}
-
-    if model == "pauli":
-        fid = su.depolarizing_pair_fidelity(eta)
-        tele_covariant = True
-    elif model == "erasure":
-        fid = su.erasure_pair_fidelity(eta, overlap)
-        tele_covariant = True
-    elif model == "ad":
-        fid = cu.amplitude_damping_choi_fidelity(r_p, r_q)
-        tele_covariant = False
-    elif model == "classical-pauli":
-        fid = float(np.sqrt(max(0.0, 1.0 - eta * eta)))
-        tele_covariant = True
-    else:
-        fid = float(eta * abs(overlap) + (1.0 - eta))
-        tele_covariant = True
+            **{k: (v if k in spec.params else None) for k, v in values.items()}}
+    fid = spec.fidelity(*(values[k] for k in spec.params))
 
     eps_axis = np.linspace(0.0, eps_max, grid)
     tasks = []
@@ -278,14 +260,13 @@ def _cmd_channel(args) -> int:
         for e in eps_axis:
             tasks.append((u, float(e)))
 
-    classical = model.startswith("classical")
     model_fn = cu.uniform_error_model(2)
 
     def evaluate(task):
         u, e = task
-        if tele_covariant:
+        if spec.tele_covariant:
             res = cu.channel_fail_lower_bound(
-                fid, u, 1, 0.0, 0.0, (0.5, 0.5), (e, e), grid=scan_grid, classical=classical
+                fid, u, 1, 0.0, 0.0, (0.5, 0.5), (e, e), grid=scan_grid, classical=spec.classical
             )
             kind = "bound"
         else:
@@ -295,11 +276,11 @@ def _cmd_channel(args) -> int:
             kind = "optimal_ports"
         return {**base, "kind": kind, "u": u, "ports": res.ports, "eps": e,
                 "bound": res.value, "eps_r_p": float(res.eps_r[0]), "eps_r_q": float(res.eps_r[1]),
-                "classical": classical, "vacuous": res.vacuous}
+                "classical": spec.classical, "vacuous": res.vacuous}
 
     records = _parallel_map(evaluate, tasks, args.parallel)
 
-    if fixed_ports and not tele_covariant:
+    if fixed_ports and not spec.tele_covariant:
         fixed_tasks = [(u, float(e), m) for u in rounds_list for e in eps_axis for m in fixed_ports]
 
         def evaluate_fixed(task):
@@ -315,7 +296,7 @@ def _cmd_channel(args) -> int:
 
         records += _parallel_map(evaluate_fixed, fixed_tasks, args.parallel)
 
-    params = {"model": model, "eta": eta, "overlap": overlap, "r_p": r_p, "r_q": r_q,
+    params = {"model": model, **values,
               "rounds": rounds_list, "grid": grid, "eps_max": eps_max, "m_max": m_max,
               "fixed_ports": fixed_ports, "scan_grid": scan_grid}
     _write_records(args.out, args.format, "channel", params, header, records)
@@ -405,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--model",
-        choices=("pauli", "erasure", "ad", "classical-pauli", "classical-erasure"),
+        choices=tuple(cu.CHANNEL_MODELS),
         default="pauli",
     )
     p.set_defaults(func=_cmd_channel)

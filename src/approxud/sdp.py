@@ -276,7 +276,9 @@ def solve_min_fail(ens: StateEnsemble, tol: ToleranceVector) -> DiscriminationSo
         nk = 2 * ranks[k]
         red = _derealify(smat(x[block_off[j + 1] : block_off[j + 2]], nk))
         elements[k + 1] = vs[k] @ red @ vs[k].conj().T
-    povm = Povm(tuple(elements))
+    # only a converged iterate is a valid POVM; a failed solve still reports
+    # its iterate, with the status saying it did not converge
+    povm = Povm(tuple(elements)) if res.status == "optimal" else Povm.unchecked(elements)
     errors = conditional_errors(povm, ens)
     p_fail = min(1.0, max(0.0, p_fail_of(povm, ens)))
     return DiscriminationSolution(p_fail, povm, errors, tol.flavor, res.status)

@@ -102,86 +102,110 @@ def overlap_window(eps_p: float, eps_q: float) -> tuple[float, float]:
     return float(abs(a - b)), float(a + b)
 
 
-def _effective_window_top(eps_p: float, eps_q: float) -> float:
-    if eps_p + eps_q >= 1.0:
-        return 1.0
-    return overlap_window(eps_p, eps_q)[1]
+def _window_top(eps_p, eps_q):
+    """Effective top w of the residual-overlap window, for scalars or arrays.
+
+    The upper endpoint of overlap_window, except that once eps_p + eps_q >= 1
+    every residual overlap is admissible and w is 1.
+    """
+    top = np.sqrt(eps_p * (1.0 - eps_q)) + np.sqrt(eps_q * (1.0 - eps_p))
+    # top <= 1, so the maximum with the indicator is 1 exactly where
+    # eps_p + eps_q >= 1 and top elsewhere
+    return np.maximum(top, eps_p + eps_q >= 1.0)
 
 
-def _curve_delta(beta: np.ndarray, xi: float, w: float) -> np.ndarray:
-    """Smallest delta with sin(b)sin(d) + w cos(b)cos(d) = xi, else NaN."""
+def _equal_prior_pf(xi, w):
+    """Equal-prior optimum 1 - (1 - xi)/(1 - w), for window tops w < xi."""
+    return 1.0 - (1.0 - xi) / (1.0 - w)
+
+
+def _curve_delta(beta: np.ndarray, xi: float, w: np.ndarray) -> np.ndarray:
+    """Smallest delta with sin(b)sin(d) + w cos(b)cos(d) = xi.
+
+    Defined for beta at or above the surface's start, where
+    hypot(sin b, w cos b) >= xi up to rounding.
+    """
     sb, cb = np.sin(beta), np.cos(beta)
     r = np.hypot(sb, w * cb)
-    with np.errstate(invalid="ignore"):
-        inner = np.where(r >= xi, xi / np.maximum(r, 1e-300), np.nan)
-        delta = np.arcsin(np.clip(inner, -1.0, 1.0)) - np.arctan2(w * cb, sb)
+    delta = np.arcsin(np.minimum(xi / r, 1.0)) - np.arctan2(w * cb, sb)
     return np.clip(delta, 0.0, np.pi / 2)
 
 
-def _curve_min(xi: float, w: float, p: float, q: float, n: int = 4097) -> tuple[float, float, float]:
-    """Global minimum of p sin^2(b) + q sin^2(d) on the active surface."""
-    if w >= xi:
-        return 0.0, 0.0, 0.0
+def _surface_value(beta: np.ndarray, xi: float, w: np.ndarray, p: float, q: float) -> np.ndarray:
+    return p * np.sin(beta) ** 2 + q * np.sin(_curve_delta(beta, xi, w)) ** 2
+
+
+_SCAN = 257
+_ZOOM = 8
+_ZOOM_ROUNDS = 8
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM + 1)
+_CHUNK = 1024
+
+
+def _surface_search(xi: float, w, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least p sin^2(b) + q sin^2(d) on the active surface, per window top.
+
+    For w < xi the constraint binds at the optimum, so delta is the smallest
+    root of sin(b)sin(d) + w cos(b)cos(d) = xi and the search runs over beta
+    alone, from the first beta with a root up to pi/2. A 257-point scan
+    finds the best point; each of 8 zoom rounds rescans its neighbourhood
+    (one scan step either side) at an 8 times finer step, so the final step
+    is about 4e-10. Points are processed in chunks of 1024 window tops.
+    Returns (values, betas, deltas), each shaped like w.
+    """
+    w = np.asarray(w, dtype=float)
+    shape = w.shape
+    w = w.reshape(-1, 1)
     s2min = (xi * xi - w * w) / (1.0 - w * w)
-    beta_lo = float(np.arcsin(np.sqrt(min(1.0, max(0.0, s2min)))))
-    betas = np.linspace(beta_lo, np.pi / 2, n)
-    deltas = _curve_delta(betas, xi, w)
+    lo = np.arcsin(np.sqrt(np.clip(s2min, 0.0, 1.0)))
+    t = np.linspace(0.0, 1.0, _SCAN)
+    betas = np.empty(w.shape[0])
+    for start in range(0, w.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        lo_c, w_c = lo[sl], w[sl]
+        rows = np.arange(lo_c.shape[0])
+        points = lo_c + (np.pi / 2 - lo_c) * t
+        step = (np.pi / 2 - lo_c) / (_SCAN - 1)
+        for _ in range(_ZOOM_ROUNDS + 1):
+            k = np.argmin(_surface_value(points, xi, w_c, p, q), axis=1)
+            best = points[rows, k][:, None]
+            points = np.clip(best + step * _ZOOM_OFFSETS, lo_c, np.pi / 2)
+            step = step / _ZOOM
+        betas[sl] = best[:, 0]
+    deltas = _curve_delta(betas, xi, w[:, 0])
     vals = p * np.sin(betas) ** 2 + q * np.sin(deltas) ** 2
-    k = int(np.nanargmin(vals))
-    lo = betas[max(0, k - 1)]
-    hi = betas[min(n - 1, k + 1)]
-
-    def f(b: float) -> float:
-        d = float(_curve_delta(np.array([b]), xi, w)[0])
-        return p * np.sin(b) ** 2 + q * np.sin(d) ** 2
-
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    cands = [(float(vals[k]), float(betas[k])), (float(res.fun), float(res.x))]
-    val, beta = min(cands)
-    delta = float(_curve_delta(np.array([beta]), xi, w)[0])
-    return val, beta, delta
+    return vals.reshape(shape), betas.reshape(shape), deltas.reshape(shape)
 
 
-def solve_pure_pair(problem: BinaryPureProblem, grid: int = 256) -> BinaryPureSolution:
+def _pf_values(xi: float, w, p: float, q: float):
+    """Pure-pair values at window tops w < xi: the closed form at equal
+    priors, else the surface search."""
+    if abs(p - q) < 1e-12:
+        return _equal_prior_pf(xi, w)
+    return _surface_search(xi, w, p, q)[0]
+
+
+def solve_pure_pair(problem: BinaryPureProblem) -> BinaryPureSolution:
     """Minimum inconclusive probability for a pure pair, rescaled flavor.
 
-    A coarse feasibility-filtered grid over the two abstention angles locates
-    the basin, a Nelder-Mead refinement polishes it against an exact penalty,
-    and a one-dimensional search along the active constraint surface pins the
-    optimum to ~1e-9. Returns the always-abstain point only when nothing
-    better is feasible.
+    Closed form at equal priors, else the surface search. At equal priors
+    the angles beta = delta = arcsin(sqrt(p_fail)) meet the constraint with
+    equality. Returns the always-abstain point only when nothing better is
+    feasible.
     """
     xi, p, q = problem.xi, problem.prior_p, problem.prior_q
     e_minus, e_plus = overlap_window(problem.eps_p, problem.eps_q)
-    w = _effective_window_top(problem.eps_p, problem.eps_q)
+    w = _window_top(problem.eps_p, problem.eps_q)
     if w >= xi:
         return BinaryPureSolution(0.0, 0.0, 0.0, e_minus, e_plus)
-
-    bs = np.linspace(0.0, np.pi / 2, grid)
-    sb, cb = np.sin(bs), np.cos(bs)
-    feas = sb[:, None] * sb[None, :] + w * cb[:, None] * cb[None, :] >= xi
-    obj = p * sb[:, None] ** 2 + q * sb[None, :] ** 2
-    obj = np.where(feas, obj, np.inf)
-    i, j = np.unravel_index(np.argmin(obj), obj.shape)
-    x0 = np.array([bs[i], bs[j]])
-
-    def merit(ang: np.ndarray) -> float:
-        b, d = np.clip(ang, 0.0, np.pi / 2)
-        violation = max(0.0, xi - (np.sin(b) * np.sin(d) + w * np.cos(b) * np.cos(d)))
-        return p * np.sin(b) ** 2 + q * np.sin(d) ** 2 + 1e3 * violation
-
-    nm = optimize.minimize(merit, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-    candidates = [(merit(x0), x0), (float(nm.fun), np.clip(nm.x, 0.0, np.pi / 2))]
-
-    val, beta, delta = _curve_min(xi, w, p, q)
-    best_val, best_ang = min(candidates, key=lambda t: t[0])
-    if val <= best_val + 1e-12:
-        best_val, best_ang = val, np.array([beta, delta])
-    pf = p * np.sin(best_ang[0]) ** 2 + q * np.sin(best_ang[1]) ** 2
+    if abs(p - q) < 1e-12:
+        pf = float(_equal_prior_pf(xi, w))
+        beta = delta = float(np.arcsin(np.sqrt(pf)))
+    else:
+        pf, beta, delta = (float(v) for v in _surface_search(xi, w, p, q))
     if pf >= 1.0 - 1e-12:
-        best_ang = np.array([np.pi / 2, np.pi / 2])
-        pf = 1.0
-    return BinaryPureSolution(float(pf), float(best_ang[0]), float(best_ang[1]), e_minus, e_plus)
+        pf, beta, delta = 1.0, np.pi / 2, np.pi / 2
+    return BinaryPureSolution(pf, beta, delta, e_minus, e_plus)
 
 
 def pure_pair_pf(xi: float, eps_p: float, eps_q: float, prior_p: float = 0.5, prior_q: float = 0.5) -> float:
@@ -190,18 +214,15 @@ def pure_pair_pf(xi: float, eps_p: float, eps_q: float, prior_p: float = 0.5, pr
 
 
 def _pf_fast(xi: float, eps_p: float, eps_q: float, prior_p: float, prior_q: float) -> float:
-    """Cheap pure-pair value for inner sweep loops.
+    """Scalar pure-pair value for inner loops (bisections).
 
-    Equal priors admit the closed form 1 - (1-xi)/(1-w); otherwise the
-    one-dimensional active-surface search is used directly. Agrees with
-    solve_pure_pair to ~1e-9 (cross-checked in the test suite).
+    The value of solve_pure_pair without validating the problem or building
+    the solution; it skips only the snap of values within 1e-12 of 1 to 1.
     """
-    w = _effective_window_top(eps_p, eps_q)
+    w = _window_top(eps_p, eps_q)
     if w >= xi:
         return 0.0
-    if abs(prior_p - prior_q) < 1e-12:
-        return float(np.clip(1.0 - (1.0 - xi) / (1.0 - w), 0.0, 1.0))
-    return _curve_min(xi, w, prior_p, prior_q, n=1025)[0]
+    return float(_pf_values(xi, w, prior_p, prior_q))
 
 
 def pure_pair_pf_batch(
@@ -210,61 +231,22 @@ def pure_pair_pf_batch(
     eps_q: np.ndarray,
     prior_p: float = 0.5,
     prior_q: float = 0.5,
-    n_beta: int = 513,
 ) -> np.ndarray:
-    """Vectorized pure-pair values over arrays of tolerance pairs.
-
-    Equal priors reduce to the closed form 1 - (1-xi)/(1-w); general priors
-    run a vectorized line search along the active surface per point.
-    """
+    """Vectorized pure-pair values over arrays of tolerance pairs."""
     ep = np.asarray(eps_p, dtype=float).reshape(-1)
     eq = np.asarray(eps_q, dtype=float).reshape(-1)
-    w = np.sqrt(ep * (1.0 - eq)) + np.sqrt(eq * (1.0 - ep))
-    w = np.where(ep + eq >= 1.0, 1.0, w)
+    w = _window_top(ep, eq)
     out = np.zeros(ep.shape)
     live = w < xi
-    if not np.any(live):
-        return out
-    if abs(prior_p - prior_q) < 1e-12:
-        out[live] = 1.0 - (1.0 - xi) / (1.0 - w[live])
-        return np.clip(out, 0.0, 1.0)
-
-    wl = w[live]
-    s2min = (xi * xi - wl * wl) / (1.0 - wl * wl)
-    beta_lo = np.arcsin(np.sqrt(np.clip(s2min, 0.0, 1.0)))
-    t = np.linspace(0.0, 1.0, n_beta)
-    vals = np.empty(wl.shape)
-    for start in range(0, wl.shape[0], 4096):
-        sl = slice(start, min(start + 4096, wl.shape[0]))
-        lo = beta_lo[sl][:, None]
-        betas = lo + (np.pi / 2 - lo) * t[None, :]
-        cur_w = wl[sl][:, None]
-        deltas = _curve_delta(betas, xi, cur_w)
-        v = prior_p * np.sin(betas) ** 2 + prior_q * np.sin(deltas) ** 2
-        k = np.nanargmin(v, axis=1)
-        rows = np.arange(v.shape[0])
-        best = v[rows, k]
-        # two zoom rounds around the best grid index
-        span = (np.pi / 2 - lo[:, 0]) / (n_beta - 1)
-        center = betas[rows, k]
-        for _ in range(2):
-            local = center[:, None] + np.linspace(-1.0, 1.0, 33)[None, :] * span[:, None]
-            local = np.clip(local, lo, np.pi / 2)
-            dl = _curve_delta(local, xi, cur_w)
-            v2 = prior_p * np.sin(local) ** 2 + prior_q * np.sin(dl) ** 2
-            k2 = np.nanargmin(v2, axis=1)
-            center = local[rows, k2]
-            best = np.minimum(best, v2[rows, k2])
-            span = span * (2.0 / 32.0)
-        vals[sl] = best
-    out[live] = vals
+    if np.any(live):
+        out[live] = _pf_values(xi, w[live], prior_p, prior_q)
     return np.clip(out, 0.0, 1.0)
 
 
 def analytic_pf_bound(
     xi: float, eps_p: float, eps_q: float, prior_p: float = 0.5, prior_q: float = 0.5
 ) -> float:
-    """Closed-form lower bound 2 sqrt(pq) (1 - (1-xi)/(1-w)), clamped to [0,1].
+    """Closed-form lower bound 2 sqrt(pq) times the equal-prior optimum.
 
     Tight at equal priors. When eps_p + eps_q > 1 the overlap window is
     vacuous and the bound is zero; the singular boundary eps_p + eps_q = 1
@@ -272,13 +254,12 @@ def analytic_pf_bound(
     """
     if not 0.0 < xi < 1.0:
         raise ValueError("overlap must lie strictly between 0 and 1")
-    _, e_plus = overlap_window(eps_p, eps_q)
-    if e_plus >= 1.0 - 1e-15:
+    if overlap_window(eps_p, eps_q)[1] >= 1.0 - 1e-15:
         raise ValueError("tolerance window endpoint reaches 1; bound undefined")
-    if eps_p + eps_q > 1.0:
+    w = _window_top(eps_p, eps_q)
+    if w >= xi:
         return 0.0
-    raw = 2.0 * np.sqrt(prior_p * prior_q) * (1.0 - (1.0 - xi) / (1.0 - e_plus))
-    return float(np.clip(raw, 0.0, 1.0))
+    return float(2.0 * np.sqrt(prior_p * prior_q) * _equal_prior_pf(xi, w))
 
 
 def rescaled_to_unrescaled(eps_r: ToleranceVector, p_fail: float) -> ToleranceVector:

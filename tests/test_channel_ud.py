@@ -1,8 +1,12 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
 from approxud import channel_ud as cu
 from approxud import state_ud as su
+from approxud.cli import build_parser
 from approxud.qmath import (
     fidelity,
     max_entangled,
@@ -287,12 +291,49 @@ class TestCovarianceDiagnostic:
             cu.pauli_covariance_defect(cu.erasure_channel(1, 0.5, 0.0))
 
 
-class TestEnsembles:
-    def test_flags(self):
-        assert cu.pauli_pair_ensemble(0.5).tele_covariant_jointly
-        assert cu.erasure_pair_ensemble(0.5, 0.2).tele_covariant_jointly
-        assert not cu.amplitude_damping_pair_ensemble(0.8, 0.9).tele_covariant_jointly
+class TestModelTable:
+    def test_qubit_tele_covariance_flags(self):
+        pairs = {
+            "pauli": (cu.pauli_gate_channel("I", 0.6), cu.pauli_gate_channel("Z", 0.6)),
+            "ad": (cu.amplitude_damping_channel(0.9), cu.amplitude_damping_channel(0.8)),
+        }
+        for name, channels in pairs.items():
+            covariant = all(cu.is_tele_covariant_qubit(c) for c in channels)
+            assert cu.CHANNEL_MODELS[name].tele_covariant == covariant, name
+        assert cu.CHANNEL_MODELS["pauli"].tele_covariant
+        assert not cu.CHANNEL_MODELS["ad"].tele_covariant
 
+    def test_fidelities_match_choi_states(self):
+        cases = {
+            "pauli": ((0.6,), cu.pauli_pair_ensemble(0.6)),
+            "erasure": ((0.6, 0.3), cu.erasure_pair_ensemble(0.6, 0.3)),
+            "ad": ((0.9, 0.8), cu.amplitude_damping_pair_ensemble(0.9, 0.8)),
+        }
+        for name, (params, ens) in cases.items():
+            choi = [cu.choi_state(c) for c in ens.channels]
+            expect = fidelity(choi[0], choi[1])
+            assert cu.CHANNEL_MODELS[name].fidelity(*params) == pytest.approx(expect, abs=1e-9), name
+
+    def test_classical_bounds_read_the_table(self, monkeypatch):
+        # at zero tolerance the bound equals the fidelity it is given
+        for name, params, bound in (
+            ("classical-pauli", (0.6,), lambda: cu.classical_pauli_bound(0.6, 1, (0.0, 0.0))),
+            ("classical-erasure", (0.6, 0.3), lambda: cu.classical_erasure_bound(0.6, 0.3, 1, (0.0, 0.0))),
+        ):
+            spec = cu.CHANNEL_MODELS[name]
+            assert bound().value == pytest.approx(spec.fidelity(*params), abs=1e-9)
+            monkeypatch.setitem(
+                cu.CHANNEL_MODELS, name, dataclasses.replace(spec, fidelity=lambda *args: 0.25)
+            )
+            assert bound().value == pytest.approx(0.25, abs=1e-9)
+
+    def test_cli_model_choices_are_the_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        model = next(a for a in sub.choices["channel"]._actions if a.dest == "model")
+        assert tuple(model.choices) == tuple(cu.CHANNEL_MODELS)
+
+
+class TestEnsembles:
     def test_validation(self):
         ch = cu.amplitude_damping_channel(0.5)
         with pytest.raises(ValueError, match="at least two"):

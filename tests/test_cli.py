@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from approxud.cli import (
+    EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_VACUOUS,
     EXIT_VALIDATION,
@@ -12,6 +13,7 @@ from approxud.cli import (
     main,
     povm_from_pairs,
 )
+from approxud.qmath import random_density_matrix
 from approxud.sdp import p_fail_of
 
 
@@ -217,6 +219,23 @@ class TestSolve:
         main(["solve", "--ensemble", str(path), "--eps", "0", "0", "--flavor", "U", "--out", str(out)])
         payload = json.loads(out.read_text())
         assert payload["p_fail"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_converged_solve_exits_nonconverged(self, tmp_path):
+        # a rank-1 triple in d=6 at eps 1e-3 (R) ends max-iterations; its
+        # iterate is not a valid POVM, which must not turn into exit 2
+        rng = np.random.default_rng(0)
+        states = [random_density_matrix(6, rng, rank=1).mat for _ in range(3)]
+        path = tmp_path / "ens.json"
+        payload = {
+            "states": [[[[float(x.real), float(x.imag)] for x in row] for row in m] for m in states],
+            "priors": [1 / 3, 1 / 3, 1 / 3],
+        }
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--ensemble", str(path), "--eps", "1e-3", "1e-3", "1e-3",
+                     "--flavor", "R", "--out", str(out)])
+        assert code == EXIT_NONCONVERGED
+        assert json.loads(out.read_text())["solver_status"] != "optimal"
 
     def test_missing_ensemble_is_validation_error(self, tmp_path):
         out = tmp_path / "sol.json"

@@ -109,7 +109,29 @@ class TestPurePairSolution:
     def test_batch_matches_scalar(self, xi, ep, eq):
         batch = su.pure_pair_pf_batch(xi, np.array([ep]), np.array([eq]), 1 / 3, 2 / 3)
         scalar = su.pure_pair_pf(xi, ep, eq, 1 / 3, 2 / 3)
-        assert batch[0] == pytest.approx(scalar, abs=1e-6)
+        assert batch[0] == pytest.approx(scalar, abs=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.02, 0.98), st.floats(0, 1), st.floats(0, 1), st.floats(0.02, 0.98), st.booleans())
+    def test_kernel_against_dense_grid(self, xi, ep, eq, p, equal):
+        p = 0.5 if equal else p
+        q = 1 - p
+        sol = su.solve_pure_pair(su.BinaryPureProblem(xi, p, q, ep, eq))
+        w = 1.0 if ep + eq >= 1 else np.sqrt(ep * (1 - eq)) + np.sqrt(eq * (1 - ep))
+
+        def slack(b, d):
+            return np.sin(b) * np.sin(d) + w * np.cos(b) * np.cos(d) - xi
+
+        assert slack(sol.beta, sol.delta) >= -1e-12
+        assert sol.p_fail == pytest.approx(p * np.sin(sol.beta) ** 2 + q * np.sin(sol.delta) ** 2, abs=1e-12)
+        ang = np.linspace(0.0, np.pi / 2, 601)
+        b, d = np.meshgrid(ang, ang, indexing="ij")
+        grid_min = np.min(np.where(slack(b, d) >= 0, p * np.sin(b) ** 2 + q * np.sin(d) ** 2, np.inf))
+        assert sol.p_fail <= grid_min + 1e-12
+        assert su._pf_fast(xi, ep, eq, p, q) == pytest.approx(sol.p_fail, abs=1e-12)
+        if equal:
+            assert sol.beta == pytest.approx(np.arcsin(np.sqrt(sol.p_fail)), abs=1e-12)
+            assert sol.delta == pytest.approx(sol.beta, abs=1e-12)
 
 
 class TestAnalyticBound:
