@@ -445,7 +445,7 @@ def classical_pauli_bound(
     The best unentangled probe is an equator state; the two output states
     then have fidelity sqrt(1 - eta^2), and the tele-covariant bound applies
     with that fidelity in place of the Choi fidelity."""
-    f_cl = CHANNEL_MODELS["classical-pauli"].fidelity(eta)
+    f_cl = CHANNEL_MODELS["classical-pauli"].fidelity_at({"eta": eta})
     return channel_fail_lower_bound(
         f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, grid=grid, classical=True
     )
@@ -457,7 +457,7 @@ def classical_erasure_bound(
     """Classical baseline for the erasure pair: a fixed input yields output
     fidelity eta*overlap + (1 - eta), identical to the Choi fidelity, so the
     classical and entangled bounds coincide."""
-    f_cl = CHANNEL_MODELS["classical-erasure"].fidelity(eta, overlap)
+    f_cl = CHANNEL_MODELS["classical-erasure"].fidelity_at({"eta": eta, "overlap": overlap})
     return channel_fail_lower_bound(
         f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, grid=grid, classical=True
     )
@@ -467,35 +467,52 @@ def classical_erasure_bound(
 # model table
 
 
+# admissible parameter range: (low, high, whether high itself is allowed)
+ParamRange = tuple[float, float, bool]
+_UNIT: ParamRange = (0.0, 1.0, True)
+_OVERLAP: ParamRange = (0.0, 1.0, False)  # as erasure_channel requires
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """A named pair of equal-prior channels (or of classical probe outputs).
 
-    fidelity takes the parameters in the order listed and returns the Choi
-    fidelity of the pair, or the output fidelity of the best unentangled
-    probe for a classical model. A tele-covariant pair is simulated exactly
-    with one port per round; any other pair needs port-based teleportation.
+    params maps each parameter, in the order fidelity takes them, to its
+    admissible range. fidelity returns the Choi fidelity of the pair, or the
+    output fidelity of the best unentangled probe for a classical model. A
+    tele-covariant pair is simulated exactly with one port per round; any
+    other pair needs port-based teleportation.
     """
 
-    params: tuple[str, ...]
+    params: dict[str, ParamRange]
     fidelity: Callable[..., float]
     tele_covariant: bool
     classical: bool = False
 
+    def fidelity_at(self, values: dict[str, float]) -> float:
+        """fidelity at the named parameter values, each checked against its range."""
+        for name, (lo, hi, hi_allowed) in self.params.items():
+            v = values[name]
+            if not (lo <= v <= hi if hi_allowed else lo <= v < hi):
+                close = "]" if hi_allowed else ")"
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}{close}, got {v:g}")
+        return self.fidelity(*(values[name] for name in self.params))
+
 
 CHANNEL_MODELS: dict[str, ChannelModel] = {
     # noisy identity-vs-Z gates: their Choi states are the depolarizing pair
-    "pauli": ChannelModel(("eta",), depolarizing_pair_fidelity, True),
+    "pauli": ChannelModel({"eta": _UNIT}, depolarizing_pair_fidelity, True),
     # erasure onto two error states: the Choi states are the erasure mixture
-    "erasure": ChannelModel(("eta", "overlap"), erasure_pair_fidelity, True),
-    "ad": ChannelModel(("r_p", "r_q"), amplitude_damping_choi_fidelity, False),
+    "erasure": ChannelModel({"eta": _UNIT, "overlap": _OVERLAP}, erasure_pair_fidelity, True),
+    "ad": ChannelModel({"r_p": _UNIT, "r_q": _UNIT}, amplitude_damping_choi_fidelity, False),
     # an equator probe of the Pauli pair gives output fidelity sqrt(1 - eta^2)
     "classical-pauli": ChannelModel(
-        ("eta",), lambda eta: float(np.sqrt(max(0.0, 1.0 - eta * eta))), True, True
+        {"eta": _UNIT}, lambda eta: float(np.sqrt(max(0.0, 1.0 - eta * eta))), True, True
     ),
-    # any fixed probe of the erasure pair: eta |overlap| + (1 - eta)
+    # any fixed probe of the erasure pair gives output fidelity
+    # eta overlap + (1 - eta), the Choi fidelity itself
     "classical-erasure": ChannelModel(
-        ("eta", "overlap"), lambda eta, overlap: float(eta * abs(overlap) + (1.0 - eta)), True, True
+        {"eta": _UNIT, "overlap": _OVERLAP}, erasure_pair_fidelity, True, True
     ),
 }
 

@@ -252,7 +252,7 @@ def _cmd_channel(args) -> int:
               "ports", "eps", "bound", "eps_r_p", "eps_r_q", "classical", "vacuous"]
     base = {"command": "channel", "model": model,
             **{k: (v if k in spec.params else None) for k, v in values.items()}}
-    fid = spec.fidelity(*(values[k] for k in spec.params))
+    fid = spec.fidelity_at(values)
 
     eps_axis = np.linspace(0.0, eps_max, grid)
     tasks = []
@@ -348,6 +348,7 @@ def _cmd_solve(args) -> int:
         "p_fail": sol.p_fail,
         "per_hypothesis_error": [float(e) for e in sol.per_hypothesis_error],
         "solver_status": sol.solver_status,
+        **{k: getattr(sol, k) for k in ("iterations", "pres", "dres", "pcost", "dcost", "gap")},
         "povm": [_matrix_to_pairs(e) for e in sol.povm.elements],
     }
     with open(args.out, "w") as fh:

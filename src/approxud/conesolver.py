@@ -15,15 +15,26 @@ feasible point (which the discrimination SDPs hit at zero error tolerance).
 PSD block variables are packed in scaled upper-triangle ("svec") coordinates
 so that the Euclidean inner product of packed vectors equals the Frobenius
 inner product of the matrices. Problem sizes are tiny (blocks <= 64, a few
-hundred constraints), so all linear algebra is dense and the Schur
-complement is formed explicitly and factored by Cholesky each iteration.
+hundred constraints), so all linear algebra is dense: the Schur complement
+M = A W A^T is formed explicitly and factored by LAPACK Cholesky each
+iteration, and each Newton solve uses the triangular factor with iterative
+refinement against the operator z -> A W(A^T z) itself.
+
+The Schur complement is assembled from the structure of the constraints.
+Leading rows of A that are a sum of congruences, X_b -> V_b X_b V_b^T from
+every PSD block b into the first block's space (the POVM completeness rows
+of the discrimination SDP, with V_0 = I), give the block
+sum_b symkron(V_b G_b V_b^T) in closed form, G_b the block's NT scaling
+matrix; only the remaining rows go through dense products with A.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -46,34 +57,55 @@ def svec_dim(n: int) -> int:
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    """Pack a symmetric matrix so that svec(X).svec(Y) = <X, Y>_F."""
-    n = m.shape[0]
-    rows, cols, scale = _svec_index(n)
-    return m[rows, cols] * scale
+    """Pack a symmetric matrix so that svec(X).svec(Y) = <X, Y>_F.
+
+    Leading axes are batch axes: a stack of matrices packs row by row."""
+    rows, cols, scale = _svec_index(m.shape[-1])
+    return m[..., rows, cols] * scale
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of svec."""
+    """Inverse of svec (leading axes of v are batch axes)."""
     rows, cols, scale = _svec_index(n)
-    m = np.zeros((n, n))
-    m[rows, cols] = v / scale
-    m = m + m.T
-    m[np.diag_indices(n)] /= 2.0
+    m = np.empty(v.shape[:-1] + (n, n))
+    m[..., rows, cols] = m[..., cols, rows] = v / scale
     return m
 
 
-def symkron(g: np.ndarray) -> np.ndarray:
-    """Matrix of the map X -> G X G in svec coordinates (G symmetric)."""
-    n = g.shape[0]
-    rows, cols, scale = _svec_index(n)
-    # columns of the result are svec(G E_k G) for the svec basis elements E_k
-    basis = np.zeros((rows.size, n, n))
-    k = np.arange(rows.size)
-    basis[k, rows, cols] += 1.0 / scale
-    basis[k, cols, rows] += 1.0 / scale
-    basis[k, rows, cols] -= np.where(rows == cols, 1.0 / scale, 0.0)
-    out = g @ basis @ g
-    return out[:, rows, cols] * scale[None, :]
+# cache: (n, r) -> s_a s_b / 2 over svec index pairs (a of order n, b of order r)
+_PAIR_SCALE_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _pair_scale(n: int, r: int) -> np.ndarray:
+    got = _PAIR_SCALE_CACHE.get((n, r))
+    if got is None:
+        off_a = _svec_index(n)[0] != _svec_index(n)[1]
+        off_b = _svec_index(r)[0] != _svec_index(r)[1]
+        # exact powers of two and sqrt(2)/2, so that symkron(I) is exactly I
+        got = np.exp2((off_a[:, None].astype(float) + off_b[None, :]) / 2.0 - 1.0)
+        _PAIR_SCALE_CACHE[(n, r)] = got
+    return got
+
+
+def symkron(v: np.ndarray) -> np.ndarray:
+    """Matrix of the map X -> V X V^T in svec coordinates.
+
+    V is n x r (square and symmetric for an NT scaling block, an isometry
+    for a completeness congruence); the result is svec_dim(n) x svec_dim(r)
+    with entry s_a s_b (V_ik V_jl + V_il V_jk) / 2 at the svec index pair
+    a = (i, j), b = (k, l).
+    """
+    n, r = v.shape
+    ro, co, _ = _svec_index(n)
+    ri, ci, _ = _svec_index(r)
+    vi, vj = v[ro], v[co]
+    out = vi.take(ri, axis=1)
+    out *= vj.take(ci, axis=1)
+    cross = vi.take(ci, axis=1)
+    cross *= vj.take(ri, axis=1)
+    out += cross
+    out *= _pair_scale(n, r)
+    return out
 
 
 @dataclass
@@ -123,7 +155,7 @@ class _Scaling:
         self.Rinv: list[np.ndarray] = []
         self.G: list[np.ndarray] = []
         self.lam: list[np.ndarray] = []
-        sls = dims.slices()
+        self.sls = sls = dims.slices()
         for n, sl in zip(dims.psd, sls):
             xm = smat(x[sl], n)
             sm = smat(s[sl], n)
@@ -143,19 +175,21 @@ class _Scaling:
         self.lam_o = np.sqrt(xo * so)
 
     def apply_w(self, v: np.ndarray) -> np.ndarray:
-        """x -> W x with W the symmetric scaling (G . G per block, w^2 orthant)."""
+        """x -> W x with W the symmetric scaling (G . G per block, w^2 orthant).
+
+        Leading axes of v are batch axes (rows of a constraint matrix)."""
         out = np.empty_like(v)
-        sls = self.dims.slices()
+        sls = self.sls
         for n, g, sl in zip(self.dims.psd, self.G, sls):
-            out[sl] = svec(g @ smat(v[sl], n) @ g)
-        out[sls[-1]] = self.w2 * v[sls[-1]]
+            out[..., sl] = svec(g @ smat(v[..., sl], n) @ g)
+        out[..., sls[-1]] = self.w2 * v[..., sls[-1]]
         return out
 
     def push_r(self, blocks: list[np.ndarray], ovec: np.ndarray) -> np.ndarray:
         """Assemble Delta-x from scaled-space blocks: R d R^T per block, w*d orthant."""
         dims = self.dims
         out = np.empty(dims.packed_len)
-        sls = dims.slices()
+        sls = self.sls
         for r, d, sl in zip(self.R, blocks, sls):
             out[sl] = svec(r @ d @ r.T)
         out[sls[-1]] = np.sqrt(self.w2) * ovec
@@ -163,7 +197,7 @@ class _Scaling:
 
     def scale_x(self, dx: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Primal direction into scaled space: Rinv DX Rinv^T per block, dx/w."""
-        sls = self.dims.slices()
+        sls = self.sls
         blocks = [
             ri @ smat(dx[sl], n) @ ri.T
             for n, ri, sl in zip(self.dims.psd, self.Rinv, sls)
@@ -172,7 +206,7 @@ class _Scaling:
 
     def scale_s(self, ds: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Dual direction into scaled space: R^T DS R per block, w*ds."""
-        sls = self.dims.slices()
+        sls = self.sls
         blocks = [
             r.T @ smat(ds[sl], n) @ r
             for n, r, sl in zip(self.dims.psd, self.R, sls)
@@ -229,14 +263,29 @@ def solve_conelp(
     gap_tol: float = 1e-9,
     feas_tol: float = 1e-9,
     step_frac: float = 0.99,
+    congruences: Sequence[np.ndarray] | None = None,
 ) -> ConeLPResult:
-    """Solve the conic pair; see module docstring for conventions."""
+    """Solve the conic pair; see module docstring for conventions.
+
+    congruences, when given, holds one matrix V_b per PSD block, each with
+    the first block's order as its row count, and declares that the leading
+    svec_dim(dims.psd[0]) rows of A are sum_b svec(V_b X_b V_b^T), with
+    zeros on the orthant. The Schur complement is then assembled from them
+    in closed form; the residuals and the refinement of the Newton solves
+    still use A as given.
+    """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
     A = np.asarray(A, dtype=float)
     p, n = A.shape
     if c.shape != (n,) or b.shape != (p,):
         raise ValueError("inconsistent problem dimensions")
+    if congruences is not None and (
+        len(congruences) != len(dims.psd)
+        or any(v.shape != (dims.psd[0], nb) for v, nb in zip(congruences, dims.psd))
+        or svec_dim(dims.psd[0]) > p
+    ):
+        raise ValueError("need one congruence per PSD block into the first block")
 
     e = _identity_point(dims)
     x = e.copy()
@@ -246,7 +295,13 @@ def solve_conelp(
     nu = dims.degree + 1
     bnorm = 1.0 + np.linalg.norm(b)
     cnorm = 1.0 + np.linalg.norm(c)
-    sls = dims.slices()
+
+    def acceptable(r: ConeLPResult) -> bool:
+        return r.pres <= feas_tol and r.dres <= feas_tol and r.gap <= 10.0 * gap_tol
+
+    def rank(r: ConeLPResult) -> tuple[bool, float]:
+        # an acceptable iterate beats any other; then the smaller residuals
+        return (not acceptable(r), max(r.pres, r.dres) + r.gap)
 
     best: ConeLPResult | None = None
     stall = 0
@@ -266,7 +321,7 @@ def solve_conelp(
             "max-iterations", x / tau, y / tau, s / tau,
             pcost, dcost, gap, pres, dres, it,
         )
-        if best is None or max(cur.pres, cur.dres) + cur.gap < max(best.pres, best.dres) + best.gap:
+        if best is None or rank(cur) < rank(best):
             best = cur
             stall = 0
         else:
@@ -286,27 +341,20 @@ def solve_conelp(
         W = _Scaling(dims, x, s)
         lam_blocks, lam_o = W.lam, W.lam_o
 
-        # Schur complement M = A W A^T (W = NT scaling of the full cone)
-        AW = np.empty_like(A)
-        for nb, g, sl in zip(dims.psd, W.G, sls):
-            AW[:, sl] = A[:, sl] @ symkron(g)
-        AW[:, sls[-1]] = A[:, sls[-1]] * W.w2[None, :]
-        M = AW @ A.T
-        M = (M + M.T) / 2
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            L = np.linalg.cholesky(M + (1e-12 * np.trace(M) / p) * np.eye(p))
+        L = _cholesky_factor(_schur_complement(A, W, congruences))
+
+        def schur_op(z: np.ndarray) -> np.ndarray:
+            return A @ W.apply_w(A.T @ z)
 
         wc = W.apply_w(c)
         awc = A @ wc
-        u1 = _chol_solve(L, M, awc + b)
+        u1 = _chol_solve(L, schur_op, awc + b)
         denom = float((b - awc) @ u1 + c @ wc + kappa / tau)
 
         def direction(d_blocks, d_o, d_tk, rp_t, rd_t, rg_t):
             rdx = W.push_r(d_blocks, d_o)
             rhs = -rp_t - A @ rdx - A @ W.apply_w(rd_t)
-            u2 = _chol_solve(L, M, rhs)
+            u2 = _chol_solve(L, schur_op, rhs)
             num = (
                 -rg_t
                 + float(c @ rdx)
@@ -388,11 +436,7 @@ def solve_conelp(
         y = y + alpha * dy
 
     assert best is not None
-    if (
-        best.pres <= feas_tol
-        and best.dres <= feas_tol
-        and best.gap <= 10.0 * gap_tol
-    ):
+    if acceptable(best):
         best.status = "optimal"
     return best
 
@@ -407,14 +451,52 @@ def _in_cone(dims: ConeDims, v: np.ndarray) -> bool:
     return bool(np.all(v[sls[-1]] > 0.0))
 
 
-def _chol_solve(L: np.ndarray, M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M z = rhs from the Cholesky factor, with iterative refinement.
+def _schur_complement(
+    A: np.ndarray, W: _Scaling, congruences: Sequence[np.ndarray] | None
+) -> np.ndarray:
+    """M = A W A^T, W the NT scaling of the full cone.
 
-    The Schur complement becomes badly conditioned near convergence; one or
-    two refinement sweeps keep the Newton directions accurate there.
+    The leading svec_dim(n_0) rows declared by congruences contribute
+    sum_b symkron(V_b G_b V_b^T) to their own block; every other row is
+    scaled by W and multiplied out densely against all of A.
     """
-    z = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    nc = 0 if congruences is None else svec_dim(W.dims.psd[0])
+    p = A.shape[0]
+    M = np.empty((p, p))
+    M[:, nc:] = A @ W.apply_w(A[nc:]).T
+    M[nc:, :nc] = M[:nc, nc:].T
+    if nc:
+        mcc = M[:nc, :nc]
+        mcc[...] = 0.0
+        for v, g in zip(congruences, W.G):
+            mcc += symkron(v @ g @ v.T)
+    return (M + M.T) / 2
+
+
+def _cholesky_factor(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of M (LAPACK), with a diagonal jitter if M is
+    numerically singular."""
+    L, info = dpotrf(M, lower=1)
+    if info != 0:
+        p = M.shape[0]
+        L, info = dpotrf(M + (1e-12 * np.trace(M) / p) * np.eye(p), lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Schur complement is not positive definite")
+    return L
+
+
+def _chol_solve(
+    L: np.ndarray, schur_op: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray
+) -> np.ndarray:
+    """Solve A W A^T z = rhs from the Cholesky factor of the assembled M,
+    with iterative refinement.
+
+    The Schur complement becomes badly conditioned near convergence, and the
+    assembled M differs from the operator z -> A W(A^T z) by rounding. Two
+    refinement sweeps whose residuals apply the operator itself keep the
+    Newton directions consistent with the A that the residuals use.
+    """
+    z = dpotrs(L, rhs, lower=1)[0]
     for _ in range(2):
-        r = rhs - M @ z
-        z = z + np.linalg.solve(L.T, np.linalg.solve(L, r))
+        z = z + dpotrs(L, rhs - schur_op(z), lower=1)[0]
     return z

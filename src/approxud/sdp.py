@@ -32,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .conesolver import ConeDims, solve_conelp, svec, smat, svec_dim
+from .conesolver import ConeDims, smat, solve_conelp, svec, svec_dim, symkron
 from .qmath import StateEnsemble, hermitian_part
 
 SDP_DIM_LIMIT = 32
@@ -106,11 +106,24 @@ class ToleranceVector:
 
 @dataclass(frozen=True)
 class DiscriminationSolution:
+    """Optimal POVM and value, with the cone solver's account of the solve.
+
+    pcost and dcost are the primal and dual objective values of the SDP
+    (the inconclusive probability), gap the complementarity x.s, and pres
+    and dres the relative primal and dual residuals of the reported iterate.
+    """
+
     p_fail: float
     povm: Povm
     per_hypothesis_error: np.ndarray
     flavor: Flavor
     solver_status: str  # optimal | max-iterations | infeasible-certified
+    iterations: int
+    pres: float
+    dres: float
+    pcost: float
+    dcost: float
+    gap: float
 
 
 def p_fail_of(povm: Povm, ens: StateEnsemble) -> float:
@@ -222,7 +235,10 @@ def solve_min_fail(ens: StateEnsemble, tol: ToleranceVector) -> DiscriminationSo
         povm = Povm.unchecked(
             [np.eye(d, dtype=complex)] + [np.zeros((d, d), dtype=complex)] * m
         )
-        return DiscriminationSolution(1.0, povm, conditional_errors(povm, ens), tol.flavor, "optimal")
+        return DiscriminationSolution(
+            1.0, povm, conditional_errors(povm, ens), tol.flavor, "optimal",
+            iterations=0, pres=0.0, dres=0.0, pcost=1.0, dcost=1.0, gap=0.0,
+        )
 
     d2 = 2 * d
     ns_full = svec_dim(d2)
@@ -238,18 +254,11 @@ def solve_min_fail(ens: StateEnsemble, tol: ToleranceVector) -> DiscriminationSo
 
     A = np.zeros((n_rows, n_var))
     b = np.zeros(n_rows)
-    # completeness: X_0 + sum_k E_k(X_k) = I in the realified space
-    A[:ns_full, :ns_full] = np.eye(ns_full)
+    # completeness: X_0 + sum_k V_k X_k V_k^T = I in the realified space
+    congruences = [np.eye(d2)] + [_realify(vs[k]) for k in active]
+    for j, v in enumerate(congruences):
+        A[:ns_full, block_off[j] : block_off[j + 1]] = symkron(v)
     b[:ns_full] = svec(np.eye(d2))
-    for j, k in enumerate(active):
-        rv = _realify(vs[k])
-        nk = 2 * ranks[k]
-        emb = np.empty((ns_full, svec_dim(nk)))
-        for a_idx in range(svec_dim(nk)):
-            e = np.zeros(svec_dim(nk))
-            e[a_idx] = 1.0
-            emb[:, a_idx] = svec(rv @ smat(e, nk) @ rv.T)
-        A[:ns_full, block_off[j + 1] : block_off[j + 2]] = emb
 
     # tolerance rows (only for eps_n > 0; zero tolerances are structural)
     for i, n in enumerate(ineq):
@@ -267,7 +276,7 @@ def solve_min_fail(ens: StateEnsemble, tol: ToleranceVector) -> DiscriminationSo
         b[row] = 1.0 - eps[n]
 
     dims = ConeDims(psd=tuple(block_sizes), nonneg=len(ineq))
-    res = solve_conelp(c, A, b, dims)
+    res = solve_conelp(c, A, b, dims, congruences=congruences)
 
     x = res.x
     pi0 = _derealify(smat(x[: ns_full], d2))
@@ -281,4 +290,8 @@ def solve_min_fail(ens: StateEnsemble, tol: ToleranceVector) -> DiscriminationSo
     povm = Povm(tuple(elements)) if res.status == "optimal" else Povm.unchecked(elements)
     errors = conditional_errors(povm, ens)
     p_fail = min(1.0, max(0.0, p_fail_of(povm, ens)))
-    return DiscriminationSolution(p_fail, povm, errors, tol.flavor, res.status)
+    return DiscriminationSolution(
+        p_fail, povm, errors, tol.flavor, res.status,
+        iterations=res.iterations, pres=res.pres, dres=res.dres,
+        pcost=res.pcost, dcost=res.dcost, gap=res.gap,
+    )

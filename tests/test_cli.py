@@ -186,7 +186,39 @@ class TestChannel:
             assert rows_c[e] == pytest.approx(rows_e[e], abs=1e-9)
 
 
+    @pytest.mark.parametrize("model", ["erasure", "classical-erasure"])
+    def test_out_of_range_parameter_is_validation_error(self, tmp_path, model):
+        # a negative overlap used to pass and give an entangled bound below
+        # the classical one
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": model, "eta": 0.6, "overlap": -0.3, "rounds": [1], "grid": 3, "eps_max": 0.1,
+        })
+        out = tmp_path / "out.csv"
+        assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        for key, value in (("overlap", 1.0), ("eta", 1.2)):
+            cfg = write_config(tmp_path / "cfg.json", {
+                "model": model, "eta": 0.6, "overlap": 0.3, key: value, "rounds": [1], "grid": 3,
+            })
+            assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        cfg = write_config(tmp_path / "cfg.json", {"model": "ad", "r_p": 0.9, "r_q": -0.1, "rounds": [1]})
+        assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+
+
 class TestSolve:
+    def test_solver_account_in_json(self, tmp_path):
+        ens_path = pure_pair_ensemble_file(tmp_path / "ens.json")
+        out = tmp_path / "sol.json"
+        code = main(["solve", "--ensemble", ens_path, "--eps", "0.05", "0.05", "--flavor", "R",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
+        assert max(payload["pres"], payload["dres"]) <= 1e-9
+        assert payload["pcost"] == pytest.approx(payload["p_fail"], abs=1e-7)
+        assert payload["dcost"] == pytest.approx(payload["pcost"], abs=1e-7)
+        assert 0.0 <= payload["gap"] <= 1e-8
+
     def test_round_trip_povm(self, tmp_path):
         ens_path = pure_pair_ensemble_file(tmp_path / "ens.json")
         out = tmp_path / "sol.json"

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from approxud import sdp
 from approxud.conesolver import (
     ConeDims,
+    _schur_complement,
+    _Scaling,
     smat,
     solve_conelp,
     svec,
+    svec_dim,
     symkron,
 )
+from approxud.qmath import StateEnsemble, random_density_matrix
 
 RNG = np.random.default_rng(7)
 
@@ -31,6 +36,80 @@ class TestPacking:
         g = random_sym(4, RNG) + 4 * np.eye(4)
         x = random_sym(4, RNG)
         np.testing.assert_allclose(symkron(g) @ svec(x), svec(g @ x @ g), atol=1e-10)
+        # a rectangular V is the map X -> V X V^T between orders 3 and 6
+        v = RNG.standard_normal((6, 3))
+        x = random_sym(3, RNG)
+        assert symkron(v).shape == (21, 6)
+        np.testing.assert_allclose(symkron(v) @ svec(x), svec(v @ x @ v.T), atol=1e-12)
+        np.testing.assert_array_equal(symkron(np.eye(5)), np.eye(15))
+
+    def test_batched_packing(self):
+        stack = np.stack([random_sym(4, RNG) for _ in range(3)])
+        packed = svec(stack)
+        np.testing.assert_array_equal(packed[1], svec(stack[1]))
+        np.testing.assert_array_equal(smat(packed, 4), stack)
+
+
+def _captured_problem(ens, eps, monkeypatch):
+    """The conic problem solve_min_fail hands to the solver."""
+    seen = {}
+
+    def capture(c, a, b, dims, **kwargs):
+        seen.update(a=a, dims=dims, congruences=kwargs["congruences"])
+        return solve_conelp(c, a, b, dims, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve_conelp", capture)
+    sdp.solve_min_fail(ens, sdp.ToleranceVector(np.asarray(eps), "R"))
+    return seen["a"], seen["dims"], seen["congruences"]
+
+
+def _random_interior_point(dims, rng):
+    parts = []
+    for n in dims.psd:
+        g = rng.standard_normal((n, n))
+        parts.append(svec(g @ g.T + 0.1 * np.eye(n)))
+    parts.append(rng.uniform(0.1, 2.0, dims.nonneg))
+    return np.concatenate(parts)
+
+
+class TestSchurAssembly:
+    @pytest.mark.parametrize("d, ranks, eps", [
+        (3, (1, 2), (0.0, 0.1)),                # one tolerance row, one reduced block
+        (4, (2, 1, 2), (0.0, 0.05, 0.2)),       # two tolerance rows, reduced blocks
+        (4, (1, 2, 1, 2), (0.0, 0.1, 0.1, 0.3)),  # three tolerance rows
+    ])
+    def test_structured_matches_dense(self, d, ranks, eps, monkeypatch):
+        rng = np.random.default_rng(sum(ranks) + d)
+        states = tuple(random_density_matrix(d, rng, rank=r) for r in ranks)
+        ens = StateEnsemble(states, rng.dirichlet(np.ones(len(ranks))))
+        a, dims, congruences = _captured_problem(ens, eps, monkeypatch)
+        n0 = dims.psd[0]
+        # facial reduction left some conclusive blocks rank-deficient
+        assert any(v.shape[1] < n0 for v in congruences)
+        assert a.shape[0] - svec_dim(n0) == sum(e > 0 for e in eps)
+        for _ in range(3):
+            w = _Scaling(dims, _random_interior_point(dims, rng), _random_interior_point(dims, rng))
+            dense_w = np.zeros((dims.packed_len, dims.packed_len))
+            sls = dims.slices()
+            for g, sl in zip(w.G, sls):
+                dense_w[sl, sl] = symkron(g)
+            dense_w[sls[-1], sls[-1]] = np.diag(w.w2)
+            dense = a @ dense_w @ a.T
+            for cong in (congruences, None):
+                m = _schur_complement(a, w, cong)
+                assert np.linalg.norm(m - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    def test_congruences_must_match_blocks(self):
+        dims = ConeDims(psd=(2, 2))
+        a = np.hstack([np.eye(3), np.eye(3)])
+        with pytest.raises(ValueError):
+            solve_conelp(np.zeros(6), a, svec(np.eye(2)), dims, congruences=[np.eye(2)])
+        res = solve_conelp(
+            np.concatenate([svec(np.diag([1.0, 2.0])), svec(np.diag([2.0, 1.0]))]),
+            a, svec(np.eye(2)), dims, congruences=[np.eye(2), np.eye(2)],
+        )
+        assert res.status == "optimal"
+        assert res.pcost == pytest.approx(2.0, abs=1e-7)
 
 
 class TestSolver:

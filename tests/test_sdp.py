@@ -298,3 +298,51 @@ class TestSolveMinFail:
         assert sol.solver_status == "optimal"
         assert np.all(sol.per_hypothesis_error <= eps + 1e-7)
         assert 0.0 <= sol.p_fail <= 1.0
+
+
+class TestAccurateNewtonDirections:
+    """Fixed inputs whose Schur complements are badly conditioned near the
+    optimum (rank-deficient mixed pairs G G^dagger / Tr, and a pure pair with
+    one tolerance zero): accurate Newton directions take each solve to an
+    optimal, valid POVM."""
+
+    @staticmethod
+    def _mixed_pair(rng, d, rank):
+        return StateEnsemble(
+            tuple(random_density_matrix(d, rng, rank=rank) for _ in range(2)), np.array([0.5, 0.5])
+        )
+
+    @pytest.mark.parametrize("case", ["d8-rank4-U", "d4-rank2-zero-R", "qubit-one-sided-R"])
+    def test_solve_ends_optimal_with_valid_povm(self, case):
+        if case == "d8-rank4-U":
+            ens, eps, flavor = self._mixed_pair(np.random.default_rng(1), 8, 4), [0.05, 0.05], "U"
+        elif case == "d4-rank2-zero-R":
+            ens, eps, flavor = self._mixed_pair(np.random.default_rng([52, 77]), 4, 2), [0.0, 0.0], "R"
+        else:
+            ens, eps, flavor = pure_pair_ensemble(0.6936726069251792), [0.1489799351936855, 0.0], "R"
+        sol = solve_min_fail(ens, ToleranceVector(np.array(eps), flavor))
+        assert sol.solver_status == "optimal"
+        povm = Povm(sol.povm.elements)  # validates: PSD, sums to identity
+        assert p_fail_of(povm, ens) == pytest.approx(sol.p_fail, abs=1e-7)
+        abstain = np.array([np.trace(s.mat @ povm.elements[0]).real for s in ens.states])
+        limits = np.array(eps) * (1.0 if flavor == "U" else 1.0 - abstain)
+        assert np.all(conditional_errors(povm, ens) <= limits + 1e-7)
+        assert abs(sol.pcost - sol.dcost) <= 1e-7
+        assert sol.iterations > 0 and max(sol.pres, sol.dres) <= 1e-9
+        if case == "qubit-one-sided-R":
+            assert sol.p_fail == pytest.approx(
+                pure_pair_pf(0.6936726069251792, eps[0], eps[1]), abs=1e-6
+            )
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6, 1e-5])
+    def test_small_tolerance_pure_pair(self, eps):
+        # the feasible set nearly loses its interior; the solve must still
+        # reach the pure-pair closed form at the states' overlap
+        rng = np.random.default_rng(0)
+        ens = StateEnsemble(
+            tuple(random_density_matrix(4, rng, rank=1) for _ in range(2)), np.array([0.5, 0.5])
+        )
+        sol = solve_min_fail(ens, ToleranceVector(np.array([eps, eps]), "R"))
+        assert sol.solver_status == "optimal"
+        xi = np.sqrt(np.trace(ens.states[0].mat @ ens.states[1].mat).real)
+        assert sol.p_fail == pytest.approx(pure_pair_pf(xi, eps, eps), abs=1e-6)
