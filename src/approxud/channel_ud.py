@@ -12,7 +12,11 @@ Two evaluators are provided: one exact (the discrimination SDP over the
 tensor-powered Choi pair, feasible while the total dimension stays small)
 and a fidelity relaxation usable at any number of rounds, which reduces the
 Choi pair to a pure pair with overlap F^(uM) via multiplicativity of the
-fidelity and inverts the rescaled parameterization numerically.
+fidelity and inverts the rescaled parameterization. The pure-pair value
+depends on the rescaled tolerances only through the window top w, falls as
+w grows, and w grows with each tolerance; so the best rescaled point that
+covers a request eps_u at simulation error Delta lies on the ray through
+eps_u + u * Delta, and one bisection along that ray finds it, at any priors.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from .qmath import (
 )
 from .sdp import SDP_DIM_LIMIT, ToleranceVector, solve_min_fail
 from .state_ud import (
+    PRIOR_TOL,
     _pf_fast,
     depolarizing_pair_fidelity,
     erasure_pair_fidelity,
-    pure_pair_pf_batch,
 )
 
 _TP_TOL = 1e-10
@@ -190,88 +194,72 @@ def channel_fail_lower_bound(
     delta_q: float,
     priors: tuple[float, float],
     eps_u: tuple[float, float],
-    grid: int = 400,
     classical: bool = False,
 ) -> ChannelBoundResult:
     """Fidelity-based lower bound on the u-round inconclusive probability.
 
-    Scans a grid of rescaled tolerance pairs; each grid point eps_R yields a
-    valid bound pair with un-rescaled tolerance
+    Each rescaled tolerance pair eps_R yields a valid bound pair with
+    un-rescaled tolerance
         eps_U_implied = (1 - pf) eps_R - u * Delta,   pf = pair value at F^(uM),
-    and bound value pf - u * mean(Delta) / 2. The reported bound is the best
-    grid point whose implied tolerance dominates the request (rounding only
-    ever loosens), refined by bisection along its ray so the binding
-    component matches the request to ~1e-9. A request beyond the achievable
-    image comes back as a vacuous zero bound.
+    and bound value pf - u * (p Delta_p + q Delta_q) / 2. The reported bound
+    is the largest pf over the eps_R whose implied tolerance covers the
+    request, and it lies on the ray through c = eps_u + u * Delta: pf depends
+    on eps_R only through the window top w, is non-increasing in w, and w is
+    non-decreasing in each tolerance. Any covering point with value pf
+    dominates c / (1 - pf), a point of that ray whose value is at least pf,
+    and the implied tolerance grows along the ray, so bisection for the
+    smallest covering point of the ray finds the optimum. When eps_R = 0
+    covers the request (c = 0), it is the optimum exactly. A request that not
+    even eps_R = (1, 1) covers comes back as a vacuous zero bound.
     """
-    if grid < 2:
-        raise ValueError("scan grid must have at least 2 points")
     e_req = np.asarray(eps_u, dtype=float)
     if np.any(e_req < 0) or np.any(e_req > 1):
         raise ValueError("requested tolerances must lie in [0, 1]")
     if delta_p < 0 or delta_q < 0:
         raise ValueError("simulation errors must be nonnegative")
     p, q = priors
+    if p < 0 or q < 0 or abs(p + q - 1.0) > PRIOR_TOL:
+        raise ValueError("priors must be nonnegative and sum to 1")
     u = rounds
     # the pair kernel needs an overlap strictly inside (0, 1)
     xi = min(max(choi_fidelity_power(choi_fidelity, u, ports), 1e-12), 1.0 - 1e-12)
-    u_delta = u * np.array([delta_p, delta_q])
+    ud_p, ud_q = u * delta_p, u * delta_q
+    req_p, req_q = float(e_req[0]), float(e_req[1])
     dbar_half = 0.5 * u * (p * delta_p + q * delta_q)
 
-    ts = np.linspace(0.0, 1.0, grid)
-    ep_g, eq_g = np.meshgrid(ts, ts, indexing="ij")
-    pf = pure_pair_pf_batch(xi, ep_g.ravel(), eq_g.ravel(), p, q)
-    implied_p = (1.0 - pf) * ep_g.ravel() - u_delta[0]
-    implied_q = (1.0 - pf) * eq_g.ravel() - u_delta[1]
-    valid = (implied_p >= e_req[0] - 1e-12) & (implied_q >= e_req[1] - 1e-12)
-    if not np.any(valid):
-        return ChannelBoundResult(
-            0.0, u, ports, e_req, np.zeros(2), np.zeros(2), classical, True
-        )
-    vals = np.where(valid, pf, -np.inf)
-    k = int(np.argmax(vals))
-    er_grid_best = np.array([ep_g.ravel()[k], eq_g.ravel()[k]])
-    best_pf = float(pf[k])
-    er_best = er_grid_best
+    def probe(a: float, b: float) -> tuple[bool, float]:
+        pf = _pf_fast(xi, a, b, p, q)
+        ok = (1.0 - pf) * a - ud_p >= req_p - 1e-12 and (1.0 - pf) * b - ud_q >= req_q - 1e-12
+        return ok, pf
 
-    # refine by bisection along candidate rays: the implied tolerance grows
-    # monotonically with the ray parameter, so the smallest feasible point on
-    # a ray carries the largest bound on it
-    def refine(direction: np.ndarray) -> tuple[float, np.ndarray] | None:
-        def probe(t: float) -> tuple[bool, float, np.ndarray]:
-            er = np.clip(t * direction, 0.0, 1.0)
-            pf_t = _pf_fast(xi, er[0], er[1], p, q)
-            impl = (1.0 - pf_t) * er - u_delta
-            return bool(np.all(impl >= e_req - 1e-12)), pf_t, er
-
-        t_hi = 1.0 / float(direction.max())
-        ok, pf_hi, er_hi = probe(t_hi)
+    # eps_R = 0 covers c = 0 (up to the slack) and carries the largest value;
+    # a bisection toward it would stop short, where w ~ sqrt(1e-13)
+    er_p = er_q = 0.0
+    ok, best_pf = probe(0.0, 0.0)
+    if not ok:
+        c_max = max(req_p + ud_p, req_q + ud_q)
+        d_p, d_q = (req_p + ud_p) / c_max, (req_q + ud_q) / c_max
+        er_p, er_q = min(d_p, 1.0), min(d_q, 1.0)
+        ok, best_pf = probe(er_p, er_q)
         if not ok:
-            return None
-        lo, hi = 0.0, t_hi
+            return ChannelBoundResult(
+                0.0, u, ports, e_req, np.zeros(2), np.zeros(2), classical, True
+            )
+        lo, hi = 0.0, 1.0
         for _ in range(70):
             mid = 0.5 * (lo + hi)
-            ok, pf_mid, er_mid = probe(mid)
+            a, b = min(mid * d_p, 1.0), min(mid * d_q, 1.0)
+            ok, pf = probe(a, b)
             if ok:
-                hi, pf_hi, er_hi = mid, pf_mid, er_mid
+                hi, best_pf, er_p, er_q = mid, pf, a, b
             else:
                 lo = mid
             if hi - lo < 1e-13:
                 break
-        return pf_hi, er_hi
 
-    rays = [np.array([1.0, 1.0])]
-    if e_req.max() > 0:
-        rays.append(e_req / e_req.max())
-    if er_grid_best.max() > 0:
-        rays.append(er_grid_best / er_grid_best.max())
-    for ray in rays:
-        got = refine(ray)
-        if got is not None and got[0] > best_pf + 1e-12:
-            best_pf, er_best = got
-
+    er_best = np.array([er_p, er_q])
     raw = best_pf - dbar_half
-    implied = (1.0 - best_pf) * er_best - u_delta
+    implied = (1.0 - best_pf) * er_best - np.array([ud_p, ud_q])
     return ChannelBoundResult(
         float(np.clip(raw, 0.0, 1.0)),
         u,
@@ -291,7 +279,6 @@ def best_bound_over_ports(
     priors: tuple[float, float],
     eps_u: tuple[float, float],
     port_range: range = range(1, 201),
-    grid: int = 400,
 ) -> ChannelBoundResult:
     """Optimize the fidelity-based bound over the number of simulation ports."""
     if len(port_range) == 0:
@@ -307,7 +294,6 @@ def best_bound_over_ports(
             float(err.per_channel[-1]),
             priors,
             eps_u,
-            grid=grid,
         )
         if best is None or res.value > best.value:
             best = res
@@ -438,7 +424,7 @@ def amplitude_damping_pair_ensemble(r_p: float, r_q: float) -> ChannelEnsemble:
 
 
 def classical_pauli_bound(
-    eta: float, rounds: int, eps_u: tuple[float, float], grid: int = 400
+    eta: float, rounds: int, eps_u: tuple[float, float]
 ) -> ChannelBoundResult:
     """Lower bound for classical probing of the noisy Pauli pair.
 
@@ -447,19 +433,19 @@ def classical_pauli_bound(
     with that fidelity in place of the Choi fidelity."""
     f_cl = CHANNEL_MODELS["classical-pauli"].fidelity_at({"eta": eta})
     return channel_fail_lower_bound(
-        f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, grid=grid, classical=True
+        f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, classical=True
     )
 
 
 def classical_erasure_bound(
-    eta: float, overlap: float, rounds: int, eps_u: tuple[float, float], grid: int = 400
+    eta: float, overlap: float, rounds: int, eps_u: tuple[float, float]
 ) -> ChannelBoundResult:
     """Classical baseline for the erasure pair: a fixed input yields output
     fidelity eta*overlap + (1 - eta), identical to the Choi fidelity, so the
     classical and entangled bounds coincide."""
     f_cl = CHANNEL_MODELS["classical-erasure"].fidelity_at({"eta": eta, "overlap": overlap})
     return channel_fail_lower_bound(
-        f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, grid=grid, classical=True
+        f_cl, rounds, 1, 0.0, 0.0, (0.5, 0.5), eps_u, classical=True
     )
 
 

@@ -246,7 +246,6 @@ def _cmd_channel(args) -> int:
     eps_max = float(cfg.get("eps_max", 0.3))
     m_max = int(cfg.get("m_max", 200))
     fixed_ports = [int(m) for m in cfg.get("fixed_ports", [])]
-    scan_grid = int(cfg.get("scan_grid", 400))
 
     header = ["command", "model", "kind", "eta", "overlap", "r_p", "r_q", "u",
               "ports", "eps", "bound", "eps_r_p", "eps_r_q", "classical", "vacuous"]
@@ -266,12 +265,12 @@ def _cmd_channel(args) -> int:
         u, e = task
         if spec.tele_covariant:
             res = cu.channel_fail_lower_bound(
-                fid, u, 1, 0.0, 0.0, (0.5, 0.5), (e, e), grid=scan_grid, classical=spec.classical
+                fid, u, 1, 0.0, 0.0, (0.5, 0.5), (e, e), classical=spec.classical
             )
             kind = "bound"
         else:
             res = cu.best_bound_over_ports(
-                fid, u, model_fn, (0.5, 0.5), (e, e), range(1, m_max + 1), grid=scan_grid
+                fid, u, model_fn, (0.5, 0.5), (e, e), range(1, m_max + 1)
             )
             kind = "optimal_ports"
         return {**base, "kind": kind, "u": u, "ports": res.ports, "eps": e,
@@ -288,7 +287,7 @@ def _cmd_channel(args) -> int:
             err = model_fn(m)
             res = cu.channel_fail_lower_bound(
                 fid, u, m, float(err.per_channel[0]), float(err.per_channel[-1]),
-                (0.5, 0.5), (e, e), grid=scan_grid
+                (0.5, 0.5), (e, e)
             )
             return {**base, "kind": "fixed_ports", "u": u, "ports": m, "eps": e,
                     "bound": res.value, "eps_r_p": float(res.eps_r[0]), "eps_r_q": float(res.eps_r[1]),
@@ -298,7 +297,7 @@ def _cmd_channel(args) -> int:
 
     params = {"model": model, **values,
               "rounds": rounds_list, "grid": grid, "eps_max": eps_max, "m_max": m_max,
-              "fixed_ports": fixed_ports, "scan_grid": scan_grid}
+              "fixed_ports": fixed_ports}
     _write_records(args.out, args.format, "channel", params, header, records)
     all_vacuous = all(r["vacuous"] for r in records)
     return EXIT_VACUOUS if all_vacuous else EXIT_OK

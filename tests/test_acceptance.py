@@ -316,7 +316,6 @@ def test_criterion_7_damping_channel_port_tradeoff():
     f_ad = cu.amplitude_damping_choi_fidelity(0.8, 0.9)
     model = cu.uniform_error_model(2)
     eps_points = (0.0, 0.02, 0.05)
-    scan = 200
 
     envelopes = {}
     interior_ok = False
@@ -324,16 +323,16 @@ def test_criterion_7_damping_channel_port_tradeoff():
         best_by_eps = {}
         for e in eps_points:
             best = cu.best_bound_over_ports(
-                f_ad, u, model, (0.5, 0.5), (e, e), range(1, 201), grid=scan
+                f_ad, u, model, (0.5, 0.5), (e, e), range(1, 201)
             )
             err1, err200 = model(1), model(200)
             at_1 = cu.channel_fail_lower_bound(
                 f_ad, u, 1, float(err1.per_channel[0]), float(err1.per_channel[1]),
-                (0.5, 0.5), (e, e), grid=scan,
+                (0.5, 0.5), (e, e),
             ).value
             at_200 = cu.channel_fail_lower_bound(
                 f_ad, u, 200, float(err200.per_channel[0]), float(err200.per_channel[1]),
-                (0.5, 0.5), (e, e), grid=scan,
+                (0.5, 0.5), (e, e),
             ).value
             best_by_eps[e] = best.value
             if u == 1 and 1 < best.ports < 200 and best.value > at_1 + 1e-9 and best.value > at_200 + 1e-9:

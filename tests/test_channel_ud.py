@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from approxud import channel_ud as cu
 from approxud import state_ud as su
@@ -158,20 +159,78 @@ class TestFidelityBound:
             ]
             assert all(vals[i] >= vals[i + 1] - 1e-9 for i in range(2))
 
+    def test_priors_validated(self):
+        for priors in ((0.9, 0.9), (-0.5, 1.5), (0.5, 0.5 + 1e-9)):
+            with pytest.raises(ValueError, match="priors"):
+                cu.channel_fail_lower_bound(0.8, 1, 1, 0.0, 0.0, priors, (0.05, 0.05))
+
+
+class TestRaySolve:
+    """The bound is the smallest covering point of the ray through
+    eps_u + u * Delta."""
+
+    def test_asymmetric_simulation_error(self):
+        # neither the diagonal nor the request's own ray reaches a covering
+        # point with a positive value; the ray through eps_u + u * Delta does
+        fid, dp, dq = 0.7563825286993153, 0.003513993893553141, 0.01690615202934467
+        e_req = np.array([0.0, 0.050436069919328474])
+        res = cu.channel_fail_lower_bound(fid, 1, 4, dp, dq, (0.5, 0.5), tuple(e_req))
+        assert not res.vacuous
+        assert res.value == pytest.approx(0.00803, abs=1e-5)
+        pf = su.pure_pair_pf(fid**4, *res.eps_r)
+        assert np.all((1 - pf) * res.eps_r - np.array([dp, dq]) >= e_req - 1e-12)
+        assert res.value == pytest.approx(pf - (dp + dq) / 4, abs=1e-12)
+
+    def test_zero_request_is_exact(self):
+        fid = su.depolarizing_pair_fidelity(0.6)
+        for u in (1, 2, 3):
+            res = cu.channel_fail_lower_bound(fid, u, 1, 0.0, 0.0, (0.5, 0.5), (0.0, 0.0))
+            assert res.eps_r[0] == 0.0 and res.eps_r[1] == 0.0
+            assert res.value == pytest.approx(fid**u, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.4, 0.999), st.integers(1, 3), st.integers(1, 8),
+        st.floats(0, 0.05), st.floats(0, 0.05), st.floats(0, 0.3), st.floats(0, 0.3),
+        st.floats(0.1, 0.9), st.booleans(),
+    )
+    def test_dominates_grid(self, fid, u, m, dp, dq, ep, eq, p, equal):
+        p = 0.5 if equal else p
+        q = 1 - p
+        res = cu.channel_fail_lower_bound(fid, u, m, dp, dq, (p, q), (ep, eq))
+        xi = fid ** (u * m)
+        e_req, u_delta = np.array([ep, eq]), u * np.array([dp, dq])
+        dbar_half = 0.5 * u * (p * dp + q * dq)
+        ts = np.linspace(0.0, 1.0, 101)
+        a, b = (g.ravel() for g in np.meshgrid(ts, ts, indexing="ij"))
+        pf = su.pure_pair_pf_batch(xi, a, b, p, q)
+        covers = ((1 - pf) * a - u_delta[0] >= ep - 1e-12) & ((1 - pf) * b - u_delta[1] >= eq - 1e-12)
+        corner_covers = bool(np.all(1.0 - u_delta >= e_req - 1e-12))
+        assert covers[-1] == corner_covers
+        if not corner_covers:
+            assert res.vacuous and res.value == 0.0
+            return
+        pf_r = su.pure_pair_pf_batch(xi, res.eps_r[:1], res.eps_r[1:], p, q)[0]
+        assert np.all((1 - pf_r) * res.eps_r - u_delta >= e_req - 1e-12)
+        assert np.all(res.eps_u_implied >= e_req - 1e-12)
+        assert res.value == pytest.approx(max(pf_r - dbar_half, 0.0), abs=1e-12)
+        assert res.vacuous == (res.value == 0.0)
+        assert res.value >= max(pf[covers].max() - dbar_half, 0.0) - 1e-12
+
 
 class TestPortOptimization:
     def test_tele_covariant_prefers_one_port(self):
         best = cu.best_bound_over_ports(
-            0.8, 1, cu.exact_simulation_model(), (0.5, 0.5), (0.05, 0.05), range(1, 30), grid=100
+            0.8, 1, cu.exact_simulation_model(), (0.5, 0.5), (0.05, 0.05), range(1, 30)
         )
         assert best.ports == 1
 
     def test_interior_optimum_for_damping_pair(self):
         fid = cu.amplitude_damping_choi_fidelity(0.8, 0.9)
         model = cu.uniform_error_model(2)
-        best = cu.best_bound_over_ports(fid, 1, model, (0.5, 0.5), (0.0, 0.0), range(1, 201), grid=120)
-        at_1 = cu.channel_fail_lower_bound(fid, 1, 1, 4.0, 4.0, (0.5, 0.5), (0.0, 0.0), grid=120)
-        at_200 = cu.channel_fail_lower_bound(fid, 1, 200, 0.02, 0.02, (0.5, 0.5), (0.0, 0.0), grid=120)
+        best = cu.best_bound_over_ports(fid, 1, model, (0.5, 0.5), (0.0, 0.0), range(1, 201))
+        at_1 = cu.channel_fail_lower_bound(fid, 1, 1, 4.0, 4.0, (0.5, 0.5), (0.0, 0.0))
+        at_200 = cu.channel_fail_lower_bound(fid, 1, 200, 0.02, 0.02, (0.5, 0.5), (0.0, 0.0))
         assert 1 < best.ports < 200
         assert best.value > at_1.value + 1e-6
         assert best.value > at_200.value + 1e-6
@@ -179,12 +238,12 @@ class TestPortOptimization:
     def test_envelope_dominates_each_port_count(self):
         fid = cu.amplitude_damping_choi_fidelity(0.8, 0.9)
         model = cu.uniform_error_model(2)
-        best = cu.best_bound_over_ports(fid, 1, model, (0.5, 0.5), (0.02, 0.02), range(1, 101), grid=100)
+        best = cu.best_bound_over_ports(fid, 1, model, (0.5, 0.5), (0.02, 0.02), range(1, 101))
         for m in (1, 7, 40, 100):
             err = model(m)
             res = cu.channel_fail_lower_bound(
                 fid, 1, m, float(err.per_channel[0]), float(err.per_channel[1]),
-                (0.5, 0.5), (0.02, 0.02), grid=100,
+                (0.5, 0.5), (0.02, 0.02),
             )
             assert best.value >= res.value - 1e-12
 

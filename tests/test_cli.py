@@ -148,7 +148,7 @@ class TestChannel:
         cfg = write_config(
             tmp_path / "cfg.json",
             {"model": "ad", "r_p": 0.9, "r_q": 0.8, "rounds": [1], "grid": 2,
-             "eps_max": 0.02, "m_max": 80, "scan_grid": 120},
+             "eps_max": 0.02, "m_max": 80},
         )
         out = tmp_path / "out.csv"
         assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -161,7 +161,7 @@ class TestChannel:
         cfg = write_config(
             tmp_path / "cfg.json",
             {"model": "ad", "r_p": 0.9, "r_q": 0.8, "rounds": [1], "grid": 2,
-             "eps_max": 0.9, "m_max": 1, "scan_grid": 60},
+             "eps_max": 0.9, "m_max": 1},
         )
         out = tmp_path / "out.csv"
         assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VACUOUS
