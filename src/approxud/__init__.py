@@ -30,6 +30,7 @@ from .state_ud import (
     BinaryPureProblem,
     BinaryPureSolution,
     OperatingPoint,
+    UnrescaledPoint,
     analytic_pf_bound,
     continuity_interval,
     continuity_shifted_tolerance,
@@ -42,17 +43,18 @@ from .state_ud import (
     fidelity_lower_bounds,
     helstrom_binary,
     helstrom_tangency,
+    invert_unrescaled,
     overlap_window,
     pure_pair_pf,
     rescaled_to_unrescaled,
     solve_pure_pair,
-    unrescaled_curve,
 )
 from .channel_ud import (
     ChannelBoundResult,
     ChannelEnsemble,
     KrausChannel,
     SimulationError,
+    UncertifiedBoundError,
     amplitude_damping_channel,
     amplitude_damping_choi_fidelity,
     best_bound_over_ports,

@@ -12,11 +12,12 @@ Two evaluators are provided: one exact (the discrimination SDP over the
 tensor-powered Choi pair, feasible while the total dimension stays small)
 and a fidelity relaxation usable at any number of rounds, which reduces the
 Choi pair to a pure pair with overlap F^(uM) via multiplicativity of the
-fidelity and inverts the rescaled parameterization. The pure-pair value
-depends on the rescaled tolerances only through the window top w, falls as
-w grows, and w grows with each tolerance; so the best rescaled point that
-covers a request eps_u at simulation error Delta lies on the ray through
-eps_u + u * Delta, and one bisection along that ray finds it, at any priors.
+fidelity and inverts the rescaled parameterization. The inversion is
+state_ud.invert_unrescaled, the one shared with the state-side bounds: the
+best rescaled point that covers a request eps_u at simulation error Delta
+lies on the ray through eps_u + u * Delta, and one bisection along that ray
+finds it, at any priors. The bound takes its "cover" side, so the implied
+tolerance covers the request with no slack and the value is rounded down.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ from .qmath import (
 from .sdp import SDP_DIM_LIMIT, ToleranceVector, solve_min_fail
 from .state_ud import (
     PRIOR_TOL,
-    _pf_fast,
     depolarizing_pair_fidelity,
     erasure_pair_fidelity,
+    invert_unrescaled,
 )
+
+# benchmark/tracing.py wraps the pure-pair probes under this module name
+from .state_ud import _pf_fast  # noqa: F401
 
 _TP_TOL = 1e-10
 
@@ -202,71 +206,35 @@ def channel_fail_lower_bound(
     un-rescaled tolerance
         eps_U_implied = (1 - pf) eps_R - u * Delta,   pf = pair value at F^(uM),
     and bound value pf - u * (p Delta_p + q Delta_q) / 2. The reported bound
-    is the largest pf over the eps_R whose implied tolerance covers the
-    request, and it lies on the ray through c = eps_u + u * Delta: pf depends
-    on eps_R only through the window top w, is non-increasing in w, and w is
-    non-decreasing in each tolerance. Any covering point with value pf
-    dominates c / (1 - pf), a point of that ray whose value is at least pf,
-    and the implied tolerance grows along the ray, so bisection for the
-    smallest covering point of the ray finds the optimum. When eps_R = 0
-    covers the request (c = 0), it is the optimum exactly. A request that not
-    even eps_R = (1, 1) covers comes back as a vacuous zero bound.
+    takes the largest pf over the eps_R whose implied tolerance covers the
+    request: state_ud.invert_unrescaled with widening u * Delta on its
+    "cover" side, which bisects the ray through eps_u + u * Delta and
+    returns a point whose float-computed implied tolerance covers eps_u with
+    no slack, so the value never exceeds the one at the exact crossing. A
+    request that not even eps_R = (1, 1) covers comes back as a vacuous zero
+    bound.
     """
-    e_req = np.asarray(eps_u, dtype=float)
-    if np.any(e_req < 0) or np.any(e_req > 1):
-        raise ValueError("requested tolerances must lie in [0, 1]")
     if delta_p < 0 or delta_q < 0:
         raise ValueError("simulation errors must be nonnegative")
     p, q = priors
     if p < 0 or q < 0 or abs(p + q - 1.0) > PRIOR_TOL:
         raise ValueError("priors must be nonnegative and sum to 1")
     u = rounds
-    # the pair kernel needs an overlap strictly inside (0, 1)
-    xi = min(max(choi_fidelity_power(choi_fidelity, u, ports), 1e-12), 1.0 - 1e-12)
-    ud_p, ud_q = u * delta_p, u * delta_q
-    req_p, req_q = float(e_req[0]), float(e_req[1])
-    dbar_half = 0.5 * u * (p * delta_p + q * delta_q)
-
-    def probe(a: float, b: float) -> tuple[bool, float]:
-        pf = _pf_fast(xi, a, b, p, q)
-        ok = (1.0 - pf) * a - ud_p >= req_p - 1e-12 and (1.0 - pf) * b - ud_q >= req_q - 1e-12
-        return ok, pf
-
-    # eps_R = 0 covers c = 0 (up to the slack) and carries the largest value;
-    # a bisection toward it would stop short, where w ~ sqrt(1e-13)
-    er_p = er_q = 0.0
-    ok, best_pf = probe(0.0, 0.0)
-    if not ok:
-        c_max = max(req_p + ud_p, req_q + ud_q)
-        d_p, d_q = (req_p + ud_p) / c_max, (req_q + ud_q) / c_max
-        er_p, er_q = min(d_p, 1.0), min(d_q, 1.0)
-        ok, best_pf = probe(er_p, er_q)
-        if not ok:
-            return ChannelBoundResult(
-                0.0, u, ports, e_req, np.zeros(2), np.zeros(2), classical, True
-            )
-        lo, hi = 0.0, 1.0
-        for _ in range(70):
-            mid = 0.5 * (lo + hi)
-            a, b = min(mid * d_p, 1.0), min(mid * d_q, 1.0)
-            ok, pf = probe(a, b)
-            if ok:
-                hi, best_pf, er_p, er_q = mid, pf, a, b
-            else:
-                lo = mid
-            if hi - lo < 1e-13:
-                break
-
-    er_best = np.array([er_p, er_q])
-    raw = best_pf - dbar_half
-    implied = (1.0 - best_pf) * er_best - np.array([ud_p, ud_q])
+    widening = np.array([u * delta_p, u * delta_q])
+    point = invert_unrescaled(
+        choi_fidelity_power(choi_fidelity, u, ports), (p, q), eps_u, tuple(widening)
+    )
+    e_req = np.asarray(eps_u, dtype=float)
+    if point.vacuous:
+        return ChannelBoundResult(0.0, u, ports, e_req, np.zeros(2), np.zeros(2), classical, True)
+    raw = point.p_fail - 0.5 * u * (p * delta_p + q * delta_q)
     return ChannelBoundResult(
         float(np.clip(raw, 0.0, 1.0)),
         u,
         ports,
         e_req,
-        er_best,
-        implied,
+        point.eps_r,
+        (1.0 - point.p_fail) * point.eps_r - widening,
         classical,
         raw <= 0.0,
     )
@@ -301,6 +269,10 @@ def best_bound_over_ports(
     return best
 
 
+class UncertifiedBoundError(ValueError):
+    """Raised when the SDP behind a lower bound did not end optimal."""
+
+
 def channel_fail_lower_bound_sdp(
     ens: ChannelEnsemble,
     rounds: int,
@@ -311,7 +283,13 @@ def channel_fail_lower_bound_sdp(
     """Exact evaluation of the adaptive lower bound via the discrimination SDP
     on tensor-powered Choi states, feasible while (d_out d_in)^(u M) stays
     within the solver limit. delta defaults to zero (teleportation-covariant)
-    or may give per-channel simulation errors."""
+    or may give per-channel simulation errors.
+
+    The value is the primal p_fail of an `optimal` solve, so it matches the
+    optimum only to the solver's tolerance (a dual-certified bound is still
+    open). Any other solver status raises UncertifiedBoundError, since the
+    primal value of a minimization that has not converged is no lower bound.
+    """
     u, m_ports = rounds, ports
     chois = [choi_state(c) for c in ens.channels]
     d_single = chois[0].dim
@@ -330,6 +308,10 @@ def channel_fail_lower_bound_sdp(
     )
     state_ens = StateEnsemble(powered, ens.priors)
     sol = solve_min_fail(state_ens, ToleranceVector(widened, "U"))
+    if sol.solver_status != "optimal":
+        raise UncertifiedBoundError(
+            f"the Choi-state SDP ended {sol.solver_status!r}; its value is no certified lower bound"
+        )
     raw = sol.p_fail - 0.5 * u * float(ens.priors @ delta)
     return float(np.clip(raw, 0.0, 1.0))
 

@@ -10,10 +10,12 @@ Four subcommands emit machine-readable data (CSV or JSON):
                  (pauli | erasure | ad | classical-pauli | classical-erasure)
   solve          run the discrimination SDP on an ensemble file
 
-Model parameters live in a JSON config file (--config); --grid overrides the
-config resolution, --parallel evaluates independent sweep points in a thread
-pool (output order is deterministic regardless). Floats are printed with 12
-significant digits, and every record echoes the inputs that produced it.
+Model parameters live in a JSON config file (--config); each command accepts
+the keys listed in _CONFIG_KEYS and rejects any other (exit 2, naming the
+key). --grid overrides the config resolution, --parallel evaluates
+independent sweep points in a thread pool (output order is deterministic
+regardless). Floats are printed with 12 significant digits, and every record
+echoes the inputs that produced it.
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
 4 every requested bound was vacuous.
@@ -75,13 +77,28 @@ def _write_records(path: str, fmt: str, command: str, params: dict, header: list
             fh.write("\n")
 
 
-def _load_config(path: str | None) -> dict:
+# config keys of the channel models and their defaults
+_CHANNEL_DEFAULTS = {"eta": 0.6, "overlap": 0.3, "r_p": 0.9, "r_q": 0.8}
+
+# the config keys each command accepts; any other key is a validation error
+_CONFIG_KEYS = {
+    "state-binary": ("xi", "prior_p", "eps_max", "grid", "with_sdp"),
+    "state-mixed": ("model", "eta", "xi", "grid", "eps_max", "n_a"),
+    "channel": ("model", *_CHANNEL_DEFAULTS, "rounds", "grid", "eps_max", "m_max", "fixed_ports"),
+    "solve": ("ensemble", "eps", "flavor"),
+}
+
+
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = [k for k in cfg if k not in _CONFIG_KEYS[command]]
+    if unknown:
+        raise ValueError(f"unknown config key(s) for {command}: {unknown}; accepted: {_CONFIG_KEYS[command]}")
     return cfg
 
 
@@ -97,7 +114,7 @@ def _parallel_map(fn, items, workers: int):
 
 
 def _cmd_state_binary(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.cmd)
     xi = float(cfg.get("xi", 0.3))
     prior_p = float(cfg.get("prior_p", 0.5))
     prior_q = 1.0 - prior_p
@@ -171,7 +188,7 @@ def _cmd_state_binary(args) -> int:
 
 
 def _cmd_state_mixed(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.cmd)
     model = cfg.get("model", args.model)
     if model not in ("depolarizing", "erasure"):
         raise ValueError("state-mixed model must be 'depolarizing' or 'erasure'")
@@ -210,11 +227,10 @@ def _cmd_state_mixed(args) -> int:
                                 "eps_inner": float(e_in), "eps": float(point.eps.values[0]), "p_fail": point.p_fail})
 
     # lower bound: the pure-pair trade-off at the pair fidelity, evaluated in
-    # un-rescaled coordinates on the requested eps grid
-    fid_c = min(max(fid, 1e-12), 1 - 1e-12)
+    # un-rescaled coordinates on the requested eps grid, rounded down
     eps_axis = np.linspace(0.0, eps_max, grid)
     for e in eps_axis:
-        v = su.pure_pf_unrescaled(fid_c, 0.5, 0.5, (float(e), float(e)))
+        v = su.invert_unrescaled(fid, (0.5, 0.5), (float(e), float(e))).p_fail
         records.append({**base, "kind": "lower_bound", "a": None, "theta": None,
                         "eps_inner": None, "eps": float(e), "p_fail": float(v)})
     for e in eps_axis:
@@ -230,12 +246,9 @@ def _cmd_state_mixed(args) -> int:
 # ---------------------------------------------------------------------------
 # channel
 
-# config keys of the channel models and their defaults
-_CHANNEL_DEFAULTS = {"eta": 0.6, "overlap": 0.3, "r_p": 0.9, "r_q": 0.8}
-
 
 def _cmd_channel(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.cmd)
     model = cfg.get("model", args.model)
     if model not in cu.CHANNEL_MODELS:
         raise ValueError(f"channel model must be one of {tuple(cu.CHANNEL_MODELS)}")
@@ -333,7 +346,7 @@ def povm_from_pairs(elements: list) -> Povm:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.cmd)
     ens_path = cfg.get("ensemble", args.ensemble)
     if ens_path is None:
         raise ValueError("solve needs an ensemble file (config key 'ensemble' or --ensemble)")

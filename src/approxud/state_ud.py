@@ -26,11 +26,16 @@ would make the optimum non-monotone in the tolerances. When
 eps_p + eps_q >= 1 every residual overlap is admissible and the failure
 probability is zero.) The objective p sin^2(beta) + q sin^2(delta) is
 minimized on that set.
+
+Un-rescaled tolerances go through one inversion, invert_unrescaled, which
+rounds to the side its caller needs: "cover" for lower bounds (the channel
+bound, the state-mixed lower bound), "achieve" for the erasure strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -271,84 +276,80 @@ def rescaled_to_unrescaled(eps_r: ToleranceVector, p_fail: float) -> ToleranceVe
     return ToleranceVector((1.0 - p_fail) * eps_r.values, "U")
 
 
-def unrescaled_curve(
-    xi: float, prior_p: float = 0.5, prior_q: float = 0.5, grid: int = 2001
-) -> list[OperatingPoint]:
-    """Symmetric-tolerance trade-off curve in un-rescaled coordinates.
+class UnrescaledPoint(NamedTuple):
+    """A pure-pair value at un-rescaled tolerances and its rescaled point."""
 
-    Sweeps a symmetric rescaled tolerance, evaluates the pure-pair optimum
-    and maps each point through rescaled_to_unrescaled; the result is the
-    lower envelope (one point per distinct un-rescaled tolerance, smallest
-    failure probability first on ties).
-    """
-    if grid < 2:
-        raise ValueError("grid resolution must be at least 2")
-    ts = np.linspace(0.0, 1.0 - 1e-12, grid)
-    # the symmetric tolerance where the overlap window closes (failure
-    # probability first reaches zero) is included exactly
-    t_zero = (1.0 - np.sqrt(1.0 - xi * xi)) / 2.0
-    ts = np.unique(np.concatenate([ts, [t_zero]]))
-    pf = pure_pair_pf_batch(xi, ts, ts, prior_p, prior_q)
-    eps_u = (1.0 - pf) * ts
-    order = np.argsort(eps_u, kind="stable")
-    points: list[OperatingPoint] = []
-    best = np.inf
-    last_eps = -1.0
-    for idx in order:
-        e, v = float(eps_u[idx]), float(pf[idx])
-        if v >= best - 1e-15 and points:
-            continue
-        best = v
-        if abs(e - last_eps) < 1e-15 and points:
-            points[-1] = OperatingPoint(ToleranceVector(np.array([e, e]), "U"), v)
-        else:
-            points.append(OperatingPoint(ToleranceVector(np.array([e, e]), "U"), v))
-        last_eps = e
-    return points
+    p_fail: float
+    eps_r: np.ndarray
+    vacuous: bool = False
 
 
-def pure_pf_unrescaled(
+def invert_unrescaled(
     xi: float,
-    prior_p: float,
-    prior_q: float,
+    priors: tuple[float, float],
     eps_u: tuple[float, float],
-    tol: float = 1e-12,
-) -> float:
-    """Pure-pair minimum failure probability at un-rescaled tolerances.
+    widening: tuple[float, float] = (0.0, 0.0),
+    side: str = "cover",
+) -> UnrescaledPoint:
+    """Pure-pair value at un-rescaled tolerances, rounded to one side.
 
-    Inverts the rescaled parameterization along the ray through the requested
-    tolerances by bisection on the monotone map t -> (1 - pf(t)) t; the value
-    is approached from the dominated side, so it never understates the curve.
+    A rescaled point eps_R with value pf implies the un-rescaled tolerance
+    (1 - pf) eps_R - widening. pf depends on eps_R only through the window
+    top w, falls as w grows, and w grows with each tolerance; so the point
+    where the implied tolerance meets eps_u lies on the ray through
+    c = eps_u + widening. One bisection along it stops once the values at
+    its ends differ by at most 1e-13, or the ends are adjacent floats.
+    side="cover" returns the end whose float-computed implied tolerance is
+    at least eps_u in each component, with no slack, and whose value is at
+    most the crossing value (a lower bound). side="achieve" returns the end
+    whose implied tolerance is at most eps_u, with a value at least the
+    crossing value (a strategy's upper bound). c = 0 returns eps_R = 0
+    exactly; a request that the ray's end (value 0) does not cover comes
+    back vacuous, with value 0 and eps_R = 0.
     """
-    e = np.asarray(eps_u, dtype=float)
-    if np.any(e < 0) or np.any(e > 1):
-        raise ValueError("tolerances must lie in [0, 1]")
-    scale = float(e.max())
-    if scale == 0.0:
-        return _pf_fast(xi, 0.0, 0.0, prior_p, prior_q)
-    direction = e / scale
+    req_p, req_q = (float(e) for e in eps_u)
+    wid_p, wid_q = (float(v) for v in widening)
+    if side not in ("cover", "achieve"):
+        raise ValueError("side must be 'cover' or 'achieve'")
+    if not (0.0 <= req_p <= 1.0 and 0.0 <= req_q <= 1.0):
+        raise ValueError("requested tolerances must lie in [0, 1]")
+    if not (0.0 <= xi <= 1.0 and wid_p >= 0.0 and wid_q >= 0.0):
+        raise ValueError("overlap must lie in [0, 1] and widening be nonnegative")
+    p, q = priors
+    cover = side == "cover"
+    lo, pf_lo = 0.0, _pf_fast(xi, 0.0, 0.0, p, q)
+    c_max = max(req_p + wid_p, req_q + wid_q)
+    if c_max == 0.0:
+        return UnrescaledPoint(pf_lo, np.zeros(2))
+    d_p, d_q = (req_p + wid_p) / c_max, (req_q + wid_q) / c_max
 
-    def pf_at(t: float) -> float:
-        ep, eq = np.clip(t * direction, 0.0, 1.0)
-        return _pf_fast(xi, float(ep), float(eq), prior_p, prior_q)
+    def probe(t: float) -> tuple[bool, float]:
+        """Whether the point at t lies past the crossing, and its value."""
+        a, b = t * d_p, t * d_q
+        pf = _pf_fast(xi, a, b, p, q)
+        imp_p, imp_q = (1.0 - pf) * a - wid_p, (1.0 - pf) * b - wid_q
+        if cover:
+            return imp_p >= req_p and imp_q >= req_q, pf
+        return not (imp_p <= req_p and imp_q <= req_q), pf
 
-    def mapped(t: float, pf: float) -> float:
-        return (1.0 - pf) * t
-
-    lo, hi = 0.0, 1.0
-    pf_lo = pf_at(0.0)
-    if mapped(1.0, pf_at(1.0)) <= scale:
-        return pf_at(1.0)
-    for _ in range(80):
+    # t = 0 lies before the crossing on either side; lo stays before, hi past
+    hi = 1.0
+    past, pf_hi = probe(hi)
+    if not past and cover:  # not even the ray's end covers
+        return UnrescaledPoint(0.0, np.zeros(2), True)
+    if not past:  # every point of the ray achieves
+        return UnrescaledPoint(pf_hi, np.array([d_p, d_q]))
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        pf_mid = pf_at(mid)
-        if mapped(mid, pf_mid) <= scale:
-            lo, pf_lo = mid, pf_mid
-        else:
-            hi = mid
-        if hi - lo < tol:
+        if pf_lo - pf_hi <= 1e-13 or not lo < mid < hi:
             break
-    return pf_lo
+        past, pf = probe(mid)
+        if past:
+            hi, pf_hi = mid, pf
+        else:
+            lo, pf_lo = mid, pf
+    t, pf = (hi, pf_hi) if cover else (lo, pf_lo)
+    return UnrescaledPoint(pf, np.array([t * d_p, t * d_q]))
 
 
 def helstrom_tangency(xi: float, prior_p: float = 0.5, prior_q: float = 0.5) -> tuple[float, float]:
@@ -605,7 +606,7 @@ def erasure_pair_strategy(
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("abstention probability a must lie in [0, 1]")
-    pf_inner = pure_pf_unrescaled(xi, prior_p, prior_q, eps_inner)
+    pf_inner = invert_unrescaled(xi, (prior_p, prior_q), eps_inner, side="achieve").p_fail
     p_fail = eta * pf_inner + (1.0 - eta) * a
     eps_p = (1.0 - eta) * (1.0 - a) * prior_q + eta * eps_inner[0]
     eps_q = (1.0 - eta) * (1.0 - a) * prior_p + eta * eps_inner[1]

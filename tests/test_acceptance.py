@@ -109,7 +109,7 @@ def test_criterion_4_mixed_state_bound_ordering():
     f_dep = su.depolarizing_pair_fidelity(eta)
     dep_ok = True
     for e in eps_grid:
-        lb = su.pure_pf_unrescaled(f_dep, 0.5, 0.5, (float(e), float(e)))
+        lb = su.invert_unrescaled(f_dep, (0.5, 0.5), (float(e), float(e))).p_fail
         ub = su.hull_value(dep_hull, float(e))
         dep_ok &= ub - lb >= -1e-6
     dep_zero_cross = None
@@ -123,10 +123,10 @@ def test_criterion_4_mixed_state_bound_ordering():
     f_era = su.erasure_pair_fidelity(eta, xi)
     era_ok = True
     for e in eps_grid:
-        lb = su.pure_pf_unrescaled(f_era, 0.5, 0.5, (float(e), float(e)))
+        lb = su.invert_unrescaled(f_era, (0.5, 0.5), (float(e), float(e))).p_fail
         ub = su.hull_value(era_hull, float(e))
         era_ok &= ub - lb >= -1e-6
-    lb0 = su.pure_pf_unrescaled(f_era, 0.5, 0.5, (0.0, 0.0))
+    lb0 = su.invert_unrescaled(f_era, (0.5, 0.5), (0.0, 0.0)).p_fail
     ub0 = su.hull_value(era_hull, 0.0)
     era_overlap = abs(ub0 - lb0) <= 1e-3 and abs(lb0 - 0.58) <= 1e-6
 

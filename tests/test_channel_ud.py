@@ -188,6 +188,14 @@ class TestRaySolve:
             assert res.eps_r[0] == 0.0 and res.eps_r[1] == 0.0
             assert res.value == pytest.approx(fid**u, abs=1e-15)
 
+    def test_tiny_request_is_a_lower_bound(self):
+        # exact value 0.1527981591286 (40-digit mpmath); accepting 1e-12 of
+        # slack in the implied tolerance used to return 0.15280000 at eps_R = 0
+        res = cu.channel_fail_lower_bound(0.1528, 1, 1, 0.0, 0.0, (0.5, 0.5), (1e-12, 1e-12))
+        assert 0.1527981591276 <= res.value <= 0.1527981591287
+        assert np.all(res.eps_u_implied >= 1e-12)
+        assert not res.vacuous
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(0.4, 0.999), st.integers(1, 3), st.integers(1, 8),
@@ -204,7 +212,7 @@ class TestRaySolve:
         ts = np.linspace(0.0, 1.0, 101)
         a, b = (g.ravel() for g in np.meshgrid(ts, ts, indexing="ij"))
         pf = su.pure_pair_pf_batch(xi, a, b, p, q)
-        covers = ((1 - pf) * a - u_delta[0] >= ep - 1e-12) & ((1 - pf) * b - u_delta[1] >= eq - 1e-12)
+        covers = ((1 - pf) * a - u_delta[0] >= ep) & ((1 - pf) * b - u_delta[1] >= eq)
         corner_covers = bool(np.all(1.0 - u_delta >= e_req - 1e-12))
         assert covers[-1] == corner_covers
         if not corner_covers:
@@ -212,7 +220,7 @@ class TestRaySolve:
             return
         pf_r = su.pure_pair_pf_batch(xi, res.eps_r[:1], res.eps_r[1:], p, q)[0]
         assert np.all((1 - pf_r) * res.eps_r - u_delta >= e_req - 1e-12)
-        assert np.all(res.eps_u_implied >= e_req - 1e-12)
+        assert np.all(res.eps_u_implied >= e_req)
         assert res.value == pytest.approx(max(pf_r - dbar_half, 0.0), abs=1e-12)
         assert res.vacuous == (res.value == 0.0)
         assert res.value >= max(pf[covers].max() - dbar_half, 0.0) - 1e-12
@@ -292,6 +300,19 @@ class TestExactSdpBound:
         ens = cu.pauli_pair_ensemble(0.6)
         with pytest.raises(ValueError, match="exceeds"):
             cu.channel_fail_lower_bound_sdp(ens, 3, 1, np.array([0.1, 0.1]))
+
+    def test_non_converged_solve_is_not_a_bound(self, monkeypatch):
+        # the primal value of an unconverged minimization may sit anywhere;
+        # it must not come back as a lower bound
+        def stalled(ens, eps):
+            sol = solve_min_fail(ens, eps)
+            return dataclasses.replace(sol, p_fail=0.9, solver_status="max-iterations")
+
+        monkeypatch.setattr(cu, "solve_min_fail", stalled)
+        ens = cu.pauli_pair_ensemble(0.6)
+        with pytest.raises(cu.UncertifiedBoundError, match="max-iterations"):
+            cu.channel_fail_lower_bound_sdp(ens, 1, 1, np.array([0.05, 0.05]))
+        assert issubclass(cu.UncertifiedBoundError, ValueError)
 
     def test_simulation_error_penalty(self):
         ens = cu.amplitude_damping_pair_ensemble(0.9, 0.8)

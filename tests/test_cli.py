@@ -129,6 +129,49 @@ class TestStateMixed:
         assert float(ub0["p_fail"]) == pytest.approx(0.58, abs=1e-6)
 
 
+    def test_tiny_tolerance_lower_bound(self, tmp_path):
+        # pair fidelity 0.1528 (eta 1): at eps 1e-12 the lower bound is
+        # 0.1527981591286 (40-digit mpmath); the lower_bound record used to
+        # print 0.15279838, a value above it
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"model": "erasure", "eta": 1.0, "xi": 0.1528, "grid": 2, "eps_max": 1e-12, "n_a": 2},
+        )
+        out = tmp_path / "out.json"
+        assert main(["state-mixed", "--config", cfg, "--out", str(out), "--format", "json"]) == EXIT_OK
+        records = json.loads(out.read_text())["records"]
+        lb = [r for r in records if r["kind"] == "lower_bound" and r["eps"] == 1e-12]
+        assert len(lb) == 1
+        assert 0.1527981591276 <= lb[0]["p_fail"] <= 0.1527981591287
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, payload, bad", [
+        ("state-binary", {"xi": 0.3, "grid": 2, "with_sdp": False, "scan_grid": 400}, "scan_grid"),
+        ("state-mixed", {"model": "erasure", "grid": 2, "n_a": 2, "eps": 0.1}, "eps"),
+        ("channel", {"model": "ad", "rounds": [1], "grid": 2, "m_mx": 5}, "m_mx"),
+        ("channel", {"model": "pauli", "rounds": [1], "grid": 2, "scan_grid": 400}, "scan_grid"),
+        ("solve", {"eps": [0.0, 0.0], "flavour": "R"}, "flavour"),
+    ])
+    def test_unknown_key_is_validation_error(self, tmp_path, capsys, command, payload, bad):
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "solve":
+            argv += ["--ensemble", pure_pair_ensemble_file(tmp_path / "ens.json")]
+        assert main(argv) == EXIT_VALIDATION
+        assert repr(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_unused_by_the_model_is_accepted(self, tmp_path):
+        # overlap belongs to the erasure models, yet a pauli config may carry it
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"model": "pauli", "eta": 0.6, "overlap": 0.3, "rounds": [1], "grid": 2, "eps_max": 0.1},
+        )
+        assert main(["channel", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+
+
 class TestChannel:
     def test_pauli_rounds_monotone(self, tmp_path):
         cfg = write_config(

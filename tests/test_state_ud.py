@@ -193,32 +193,59 @@ class TestToleranceMaps:
             su.rescaled_to_unrescaled(ToleranceVector(np.array([0.1]), "U"), 0.0)
 
 
+def unrescaled_values(xi, eps_grid):
+    """The pure-pair trade-off in un-rescaled coordinates on a tolerance grid."""
+    return np.array([su.invert_unrescaled(xi, (0.5, 0.5), (float(e), float(e))).p_fail for e in eps_grid])
+
+
+def ray_crossing(xi, p, eps_u, widening):
+    """Values at the two ends of a 200-step float bisection for the point of
+    the ray through eps_u + widening whose implied tolerance
+    (1 - pf) eps_R - widening meets eps_u; pf from pure_pair_pf. Returns
+    (value before the crossing, value past it, whether the ray end covers)."""
+    c = eps_u + widening
+    d = c / c.max()
+
+    def covers(t):
+        er = t * d
+        pf = su.pure_pair_pf(xi, er[0], er[1], p, 1 - p)
+        return bool(np.all((1 - pf) * er - widening >= eps_u)), pf
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if covers(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return covers(lo)[1], covers(hi)[1], covers(1.0)[0]
+
+
 class TestUnrescaledCurve:
+    """The un-rescaled trade-off curve, evaluated by the tolerance inversion."""
+
     def test_endpoints(self):
-        curve = su.unrescaled_curve(0.3)
-        assert curve[0].eps.values[0] == pytest.approx(0.0, abs=1e-12)
-        assert curve[0].p_fail == pytest.approx(0.3, abs=1e-9)
-        zero = [pt for pt in curve if pt.p_fail < 1e-10]
-        assert zero[0].eps.values[0] == pytest.approx(HELSTROM_TOL_03, abs=1e-9)
+        grid = np.unique(np.concatenate([np.linspace(0.0, 0.1, 2001), [HELSTROM_TOL_03]]))
+        vals = unrescaled_values(0.3, grid)
+        assert vals[0] == pytest.approx(0.3, abs=1e-9)
+        zero = grid[vals < 1e-10]
+        assert zero[0] == pytest.approx(HELSTROM_TOL_03, abs=1e-9)
 
     def test_envelope_monotone(self):
-        curve = su.unrescaled_curve(0.45, grid=501)
-        eps = [pt.eps.values[0] for pt in curve]
-        pf = [pt.p_fail for pt in curve]
-        assert all(eps[i] <= eps[i + 1] + 1e-15 for i in range(len(eps) - 1))
-        assert all(pf[i] >= pf[i + 1] - 1e-12 for i in range(len(pf) - 1))
+        vals = unrescaled_values(0.45, np.linspace(0.0, 0.2, 501))
+        assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
     def test_envelope_convex_midpoints(self):
-        curve = su.unrescaled_curve(0.5, grid=2001)
-        xs = np.array([pt.eps.values[0] for pt in curve])
-        ys = np.array([pt.p_fail for pt in curve])
+        xs = np.linspace(0.0, 0.1, 1001)
+        ys = unrescaled_values(0.5, xs)
         for a, b in [(0.0, 0.02), (0.005, 0.05), (0.01, 0.1)]:
             mid = np.interp((a + b) / 2, xs, ys)
             chord = (np.interp(a, xs, ys) + np.interp(b, xs, ys)) / 2
             assert mid <= chord + 2e-6
 
     def test_unrescaled_point_roundtrip_with_sdp(self):
-        # the curve value at (1 - pf) * eps_R must match the un-rescaled SDP
+        # the curve value at (1 - pf) * eps_R must match the un-rescaled SDP,
+        # and the inversion must map that tolerance back to pf
         xi = 0.4
         ens = pure_pair_ensemble(xi)
         for er in (0.0, 0.01, HELSTROM_TOL_03):
@@ -228,14 +255,80 @@ class TestUnrescaledCurve:
             )
             sdp = solve_min_fail(ens, eps_u).p_fail
             assert sdp == pytest.approx(pf, abs=1e-5)
+            back = su.invert_unrescaled(xi, (0.5, 0.5), tuple(eps_u.values))
+            assert back.p_fail == pytest.approx(pf, abs=1e-9)
 
     def test_inversion_matches_sdp(self):
         xi = 0.5
         ens = pure_pair_ensemble(xi)
         for eu in (0.0, 0.0123, 0.05):
-            val = su.pure_pf_unrescaled(xi, 0.5, 0.5, (eu, eu))
             sdp = solve_min_fail(ens, ToleranceVector(np.array([eu, eu]), "U")).p_fail
-            assert val == pytest.approx(sdp, abs=2e-5)
+            for side in ("cover", "achieve"):
+                val = su.invert_unrescaled(xi, (0.5, 0.5), (eu, eu), side=side).p_fail
+                assert val == pytest.approx(sdp, abs=2e-5)
+
+
+class TestInversion:
+    def test_tiny_request_is_a_lower_bound(self):
+        # exact value 0.1527981591286 (40-digit mpmath); a tolerance slack of
+        # 1e-12 used to return 0.15280000 at eps_R = 0
+        pt = su.invert_unrescaled(0.1528, (0.5, 0.5), (1e-12, 1e-12))
+        assert 0.1527981591276 <= pt.p_fail <= 0.1527981591287
+        up = su.invert_unrescaled(0.1528, (0.5, 0.5), (1e-12, 1e-12), side="achieve")
+        assert up.p_fail >= 0.1527981591286
+
+    def test_zero_request_is_exact(self):
+        for side in ("cover", "achieve"):
+            pt = su.invert_unrescaled(0.3, (0.4, 0.6), (0.0, 0.0), side=side)
+            assert pt.eps_r[0] == 0.0 and pt.eps_r[1] == 0.0 and not pt.vacuous
+            assert pt.p_fail == su.pure_pair_pf(0.3, 0.0, 0.0, 0.4, 0.6)
+
+    def test_uncoverable_request_is_vacuous(self):
+        pt = su.invert_unrescaled(0.3, (0.5, 0.5), (0.5, 0.2), widening=(0.6, 0.0))
+        assert pt.vacuous and pt.p_fail == 0.0
+        assert not su.invert_unrescaled(0.3, (0.5, 0.5), (0.5, 0.2), (0.6, 0.0), "achieve").vacuous
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="side"):
+            su.invert_unrescaled(0.3, (0.5, 0.5), (0.1, 0.1), side="lower")
+        with pytest.raises(ValueError, match="requested"):
+            su.invert_unrescaled(0.3, (0.5, 0.5), (-0.1, 0.1))
+        with pytest.raises(ValueError, match="widening"):
+            su.invert_unrescaled(0.3, (0.5, 0.5), (0.1, 0.1), widening=(0.0, -1e-3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(0.02, 0.98),
+        st.one_of(st.just(0.5), st.floats(0.1, 0.9)),
+        st.lists(st.one_of(st.just(0.0), st.floats(-14.0, -0.6).map(lambda x: 10.0**x)), min_size=2, max_size=2),
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.05), st.floats(0.5, 0.9)), min_size=2, max_size=2),
+        st.sampled_from(["cover", "achieve"]),
+    )
+    def test_rounds_to_its_side(self, xi, p, eps_u, widening, side):
+        eps_u, widening = np.array(eps_u), np.array(widening)
+        pt = su.invert_unrescaled(xi, (p, 1 - p), tuple(eps_u), tuple(widening), side)
+        if not np.any(eps_u + widening):
+            assert pt.eps_r[0] == 0.0 and pt.eps_r[1] == 0.0
+            assert pt.p_fail == su.pure_pair_pf(xi, 0.0, 0.0, p, 1 - p)
+            return
+        before, past, end_covers = ray_crossing(xi, p, eps_u, widening)
+        assert pt.vacuous == (side == "cover" and not end_covers)
+        if pt.vacuous:
+            assert pt.p_fail == 0.0
+            return
+        pf = su.pure_pair_pf(xi, pt.eps_r[0], pt.eps_r[1], p, 1 - p)
+        assert pt.p_fail == pytest.approx(pf, abs=1e-15)
+        implied = (1 - pt.p_fail) * pt.eps_r - widening
+        # the closed form falls monotonically along the ray; the unequal-prior
+        # surface search does so only to about 2e-14 at tiny tolerances
+        noise = 0.0 if p == 0.5 else 1e-13
+        if side == "cover":
+            assert np.all(implied >= eps_u)
+            assert pt.p_fail <= before + noise
+            assert pt.p_fail >= past - 1e-10
+        else:
+            assert np.all(implied <= eps_u)
+            assert pt.p_fail >= past - noise
 
 
 class TestHelstrom:
@@ -470,6 +563,6 @@ class TestErasureModel:
         hull = su.erasure_upper_hull(eta, xi)
         fid = su.erasure_pair_fidelity(eta, xi)
         for e in np.linspace(0, 0.4, 41):
-            lb = su.pure_pf_unrescaled(fid, 0.5, 0.5, (float(e), float(e)))
+            lb = su.invert_unrescaled(fid, (0.5, 0.5), (float(e), float(e))).p_fail
             ub = su.hull_value(hull, float(e))
             assert lb <= ub + 1e-6
