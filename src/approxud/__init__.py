@@ -30,6 +30,7 @@ from .state_ud import (
     BinaryPureProblem,
     BinaryPureSolution,
     OperatingPoint,
+    UnrescaledLanes,
     UnrescaledPoint,
     analytic_pf_bound,
     continuity_interval,
@@ -39,17 +40,20 @@ from .state_ud import (
     depolarizing_pair_strategy,
     erasure_pair_fidelity,
     erasure_pair_states,
+    erasure_pair_strategies,
     erasure_pair_strategy,
     fidelity_lower_bounds,
     helstrom_binary,
     helstrom_tangency,
     invert_unrescaled,
+    invert_unrescaled_lanes,
     overlap_window,
     pure_pair_pf,
     rescaled_to_unrescaled,
     solve_pure_pair,
 )
 from .channel_ud import (
+    ChannelBoundLanes,
     ChannelBoundResult,
     ChannelEnsemble,
     KrausChannel,
@@ -58,7 +62,9 @@ from .channel_ud import (
     amplitude_damping_channel,
     amplitude_damping_choi_fidelity,
     best_bound_over_ports,
+    best_port,
     channel_fail_lower_bound,
+    channel_fail_lower_bound_lanes,
     channel_fail_lower_bound_sdp,
     choi_fidelity_power,
     choi_state,

@@ -13,11 +13,14 @@ tensor-powered Choi pair, feasible while the total dimension stays small)
 and a fidelity relaxation usable at any number of rounds, which reduces the
 Choi pair to a pure pair with overlap F^(uM) via multiplicativity of the
 fidelity and inverts the rescaled parameterization. The inversion is
-state_ud.invert_unrescaled, the one shared with the state-side bounds: the
-best rescaled point that covers a request eps_u at simulation error Delta
-lies on the ray through eps_u + u * Delta, and one bisection along that ray
-finds it, at any priors. The bound takes its "cover" side, so the implied
-tolerance covers the request with no slack and the value is rounded down.
+state_ud.invert_unrescaled_lanes, the one shared with the state-side bounds:
+the best rescaled point that covers a request eps_u at simulation error
+Delta lies on the ray through eps_u + u * Delta, and one bisection along
+that ray finds it, at any priors. The bound takes its "cover" side, so the
+implied tolerance covers the request with no slack and the value is rounded
+down. The bound has a lane form, channel_fail_lower_bound_lanes, that
+evaluates many (rounds, ports, Delta, eps_u) points in one lockstep
+inversion; the scalar bound and the port search are views of it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .state_ud import (
     PRIOR_TOL,
     depolarizing_pair_fidelity,
     erasure_pair_fidelity,
-    invert_unrescaled,
+    invert_unrescaled_lanes,
 )
 
 # benchmark/tracing.py wraps the pure-pair probes under this module name
@@ -141,6 +144,34 @@ class ChannelBoundResult:
     vacuous: bool = False
 
 
+@dataclass(frozen=True)
+class ChannelBoundLanes:
+    """channel_fail_lower_bound over L lanes: arrays of shape (L,), or (L, 2)
+    for the tolerances."""
+
+    value: np.ndarray
+    rounds: np.ndarray
+    ports: np.ndarray
+    eps_u: np.ndarray
+    eps_r: np.ndarray
+    eps_u_implied: np.ndarray
+    vacuous: np.ndarray
+    classical: bool = False
+
+    def lane(self, k: int) -> ChannelBoundResult:
+        """The result of lane k."""
+        return ChannelBoundResult(
+            float(self.value[k]),
+            int(self.rounds[k]),
+            int(self.ports[k]),
+            self.eps_u[k],
+            self.eps_r[k],
+            self.eps_u_implied[k],
+            self.classical,
+            bool(self.vacuous[k]),
+        )
+
+
 def choi_state(channel: KrausChannel) -> DensityMatrix:
     """Choi state: the channel applied to one half of a maximally entangled
     pair; lives on dim_out x dim_in with the output leg first."""
@@ -166,8 +197,8 @@ def choi_fidelity_power(fidelity_value: float, rounds: int, ports: int) -> float
     """Fidelity of uM-fold tensor powers: F^(u M)."""
     if not 0.0 <= fidelity_value <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    if rounds * ports < 1:
-        raise ValueError("need at least one Choi copy")
+    if rounds < 1 or ports < 1:
+        raise ValueError(f"need at least one round and one port, got rounds {rounds}, ports {ports}")
     return float(fidelity_value ** (rounds * ports))
 
 
@@ -190,6 +221,55 @@ def exact_simulation_model(n_channels: int = 2) -> Callable[[int], SimulationErr
     return model
 
 
+def channel_fail_lower_bound_lanes(
+    choi_fidelity: float,
+    rounds,
+    ports,
+    delta_p,
+    delta_q,
+    priors: tuple[float, float],
+    eps_u,
+    classical: bool = False,
+) -> ChannelBoundLanes:
+    """channel_fail_lower_bound over lanes, in one lockstep inversion.
+
+    rounds, ports, delta_p and delta_q have shape (L,) and eps_u (L, 2); any
+    of them broadcasts. Each lane's overlap is the fidelity power
+    F^(u M), taken with Python's float power as in choi_fidelity_power.
+    """
+    e = np.asarray(eps_u, dtype=float).reshape(-1, 2)
+    u, m, dp, dq, ep, eq = np.broadcast_arrays(
+        np.asarray(rounds).reshape(-1),
+        np.asarray(ports).reshape(-1),
+        np.asarray(delta_p, dtype=float).reshape(-1),
+        np.asarray(delta_q, dtype=float).reshape(-1),
+        e[:, 0],
+        e[:, 1],
+    )
+    if np.any(dp < 0) or np.any(dq < 0):
+        raise ValueError("simulation errors must be nonnegative")
+    p, q = priors
+    if p < 0 or q < 0 or abs(p + q - 1.0) > PRIOR_TOL:
+        raise ValueError("priors must be nonnegative and sum to 1")
+    xi = [choi_fidelity_power(choi_fidelity, a, b) for a, b in zip(u.tolist(), m.tolist())]
+    e_req = np.column_stack([ep, eq])
+    widening = np.column_stack([u * dp, u * dq])
+    point = invert_unrescaled_lanes(xi, (p, q), e_req, widening)
+    raw = point.p_fail - 0.5 * u * (p * dp + q * dq)
+    vac = point.vacuous
+    implied = (1.0 - point.p_fail)[:, None] * point.eps_r - widening
+    return ChannelBoundLanes(
+        np.where(vac, 0.0, np.clip(raw, 0.0, 1.0)),
+        u,
+        m,
+        e_req,
+        point.eps_r,
+        np.where(vac[:, None], 0.0, implied),
+        vac | (raw <= 0.0),
+        classical,
+    )
+
+
 def channel_fail_lower_bound(
     choi_fidelity: float,
     rounds: int,
@@ -207,37 +287,23 @@ def channel_fail_lower_bound(
         eps_U_implied = (1 - pf) eps_R - u * Delta,   pf = pair value at F^(uM),
     and bound value pf - u * (p Delta_p + q Delta_q) / 2. The reported bound
     takes the largest pf over the eps_R whose implied tolerance covers the
-    request: state_ud.invert_unrescaled with widening u * Delta on its
+    request: state_ud.invert_unrescaled_lanes with widening u * Delta on its
     "cover" side, which bisects the ray through eps_u + u * Delta and
     returns a point whose float-computed implied tolerance covers eps_u with
     no slack, so the value never exceeds the one at the exact crossing. A
     request that not even eps_R = (1, 1) covers comes back as a vacuous zero
-    bound.
+    bound. This is the one-lane call of channel_fail_lower_bound_lanes.
     """
-    if delta_p < 0 or delta_q < 0:
-        raise ValueError("simulation errors must be nonnegative")
-    p, q = priors
-    if p < 0 or q < 0 or abs(p + q - 1.0) > PRIOR_TOL:
-        raise ValueError("priors must be nonnegative and sum to 1")
-    u = rounds
-    widening = np.array([u * delta_p, u * delta_q])
-    point = invert_unrescaled(
-        choi_fidelity_power(choi_fidelity, u, ports), (p, q), eps_u, tuple(widening)
-    )
-    e_req = np.asarray(eps_u, dtype=float)
-    if point.vacuous:
-        return ChannelBoundResult(0.0, u, ports, e_req, np.zeros(2), np.zeros(2), classical, True)
-    raw = point.p_fail - 0.5 * u * (p * delta_p + q * delta_q)
-    return ChannelBoundResult(
-        float(np.clip(raw, 0.0, 1.0)),
-        u,
-        ports,
-        e_req,
-        point.eps_r,
-        (1.0 - point.p_fail) * point.eps_r - widening,
-        classical,
-        raw <= 0.0,
-    )
+    return channel_fail_lower_bound_lanes(
+        choi_fidelity, rounds, ports, delta_p, delta_q, priors, eps_u, classical
+    ).lane(0)
+
+
+def best_port(values: np.ndarray) -> np.ndarray:
+    """Index of the best port count in each row of a (points, ports) table of
+    bound values: the first maximum, the one a scan that moves only to a
+    strictly larger value keeps."""
+    return np.argmax(values, axis=-1)
 
 
 def best_bound_over_ports(
@@ -248,25 +314,21 @@ def best_bound_over_ports(
     eps_u: tuple[float, float],
     port_range: range = range(1, 201),
 ) -> ChannelBoundResult:
-    """Optimize the fidelity-based bound over the number of simulation ports."""
+    """Optimize the fidelity-based bound over the number of simulation ports,
+    in one lane call over the port range."""
     if len(port_range) == 0:
         raise ValueError("port range must be nonempty")
-    best: ChannelBoundResult | None = None
-    for m in port_range:
-        err = delta_model(m)
-        res = channel_fail_lower_bound(
-            choi_fidelity,
-            rounds,
-            m,
-            float(err.per_channel[0]),
-            float(err.per_channel[-1]),
-            priors,
-            eps_u,
-        )
-        if best is None or res.value > best.value:
-            best = res
-    assert best is not None
-    return best
+    errors = [delta_model(m).per_channel for m in port_range]
+    lanes = channel_fail_lower_bound_lanes(
+        choi_fidelity,
+        rounds,
+        np.array(port_range),
+        [err[0] for err in errors],
+        [err[-1] for err in errors],
+        priors,
+        eps_u,
+    )
+    return lanes.lane(int(best_port(lanes.value)))
 
 
 class UncertifiedBoundError(ValueError):

@@ -12,10 +12,13 @@ Four subcommands emit machine-readable data (CSV or JSON):
 
 Model parameters live in a JSON config file (--config); each command accepts
 the keys listed in _CONFIG_KEYS and rejects any other (exit 2, naming the
-key). --grid overrides the config resolution, --parallel evaluates
-independent sweep points in a thread pool (output order is deterministic
-regardless). Floats are printed with 12 significant digits, and every record
-echoes the inputs that produced it.
+key). --grid overrides the config resolution. --parallel evaluates the
+state-binary points in a thread pool (output order is deterministic
+regardless); the other commands accept it and ignore it. channel evaluates
+every (u, eps, ports) point of its sweep in one lockstep inversion
+(channel_ud.channel_fail_lower_bound_lanes), and keeps the flag because the
+benchmark passes it. Floats are printed with 12 significant digits, and
+every record echoes the inputs that produced it.
 
 Exit codes: 0 success, 2 validation error, 3 solver non-convergence,
 4 every requested bound was vacuous.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -220,17 +224,17 @@ def _cmd_state_mixed(args) -> int:
         hull = su.erasure_upper_hull(eta, xi, n_a=n_a, n_inner=max(grid, 50))
         helstrom_inner = (1.0 - np.sqrt(1.0 - xi * xi)) / 2.0
         inner_grid = np.linspace(0.0, 1.2 * helstrom_inner, max(grid, 50))
-        for a in np.linspace(0.0, 1.0, n_a):
-            for e_in in inner_grid:
-                point = su.erasure_pair_strategy(eta, xi, 0.5, 0.5, float(a), (float(e_in), float(e_in)))
-                records.append({**base, "kind": "strategy", "a": float(a), "theta": None,
-                                "eps_inner": float(e_in), "eps": float(point.eps.values[0]), "p_fail": point.p_fail})
+        a_grid = np.linspace(0.0, 1.0, n_a)
+        points = su.erasure_pair_strategies(eta, xi, 0.5, 0.5, a_grid, np.column_stack([inner_grid, inner_grid]))
+        for (a, e_in), point in zip(itertools.product(a_grid, inner_grid), points):
+            records.append({**base, "kind": "strategy", "a": float(a), "theta": None,
+                            "eps_inner": float(e_in), "eps": float(point.eps.values[0]), "p_fail": point.p_fail})
 
     # lower bound: the pure-pair trade-off at the pair fidelity, evaluated in
     # un-rescaled coordinates on the requested eps grid, rounded down
     eps_axis = np.linspace(0.0, eps_max, grid)
-    for e in eps_axis:
-        v = su.invert_unrescaled(fid, (0.5, 0.5), (float(e), float(e))).p_fail
+    lower = su.invert_unrescaled_lanes(fid, (0.5, 0.5), np.column_stack([eps_axis, eps_axis])).p_fail
+    for e, v in zip(eps_axis, lower):
         records.append({**base, "kind": "lower_bound", "a": None, "theta": None,
                         "eps_inner": None, "eps": float(e), "p_fail": float(v)})
     for e in eps_axis:
@@ -259,6 +263,10 @@ def _cmd_channel(args) -> int:
     eps_max = float(cfg.get("eps_max", 0.3))
     m_max = int(cfg.get("m_max", 200))
     fixed_ports = [int(m) for m in cfg.get("fixed_ports", [])]
+    if not rounds_list:
+        raise ValueError("rounds must list at least one round count")
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
 
     header = ["command", "model", "kind", "eta", "overlap", "r_p", "r_q", "u",
               "ports", "eps", "bound", "eps_r_p", "eps_r_q", "classical", "vacuous"]
@@ -266,47 +274,38 @@ def _cmd_channel(args) -> int:
             **{k: (v if k in spec.params else None) for k, v in values.items()}}
     fid = spec.fidelity_at(values)
 
-    eps_axis = np.linspace(0.0, eps_max, grid)
-    tasks = []
-    for u in rounds_list:
-        for e in eps_axis:
-            tasks.append((u, float(e)))
+    points = [(u, float(e)) for u in rounds_list for e in np.linspace(0.0, eps_max, grid)]
+    # one lane per (u, eps, M): a tele-covariant pair is simulated with one
+    # port, any other pair at every M = 1..m_max (the best is reported), then
+    # the fixed-port curves
+    if spec.tele_covariant:
+        sweep, fixed, kind = [1], [], "bound"
+        errors = {1: np.zeros(2)}
+    else:
+        if m_max < 1:
+            raise ValueError(f"m_max must be >= 1, got {m_max}")
+        sweep, fixed, kind = list(range(1, m_max + 1)), fixed_ports, "optimal_ports"
+        model_fn = cu.uniform_error_model(2)
+        errors = {m: model_fn(m).per_channel for m in {*sweep, *fixed}}
+    lanes = [(u, e, m) for u, e in points for m in sweep]
+    lanes += [(u, e, m) for u, e in points for m in fixed]
+    u_l, e_l, m_l = (np.array(col) for col in zip(*lanes))
+    res = cu.channel_fail_lower_bound_lanes(
+        fid, u_l, m_l, [errors[m][0] for m in m_l.tolist()], [errors[m][-1] for m in m_l.tolist()],
+        (0.5, 0.5), np.column_stack([e_l, e_l]), classical=spec.classical,
+    )
+    n_sweep = len(points) * len(sweep)
+    best = cu.best_port(res.value[:n_sweep].reshape(len(points), len(sweep)))
 
-    model_fn = cu.uniform_error_model(2)
+    def record(k: int, kind: str, classical: bool) -> dict:
+        r = res.lane(k)
+        u, e, _ = lanes[k]
+        return {**base, "kind": kind, "u": u, "ports": r.ports, "eps": e,
+                "bound": r.value, "eps_r_p": float(r.eps_r[0]), "eps_r_q": float(r.eps_r[1]),
+                "classical": classical, "vacuous": r.vacuous}
 
-    def evaluate(task):
-        u, e = task
-        if spec.tele_covariant:
-            res = cu.channel_fail_lower_bound(
-                fid, u, 1, 0.0, 0.0, (0.5, 0.5), (e, e), classical=spec.classical
-            )
-            kind = "bound"
-        else:
-            res = cu.best_bound_over_ports(
-                fid, u, model_fn, (0.5, 0.5), (e, e), range(1, m_max + 1)
-            )
-            kind = "optimal_ports"
-        return {**base, "kind": kind, "u": u, "ports": res.ports, "eps": e,
-                "bound": res.value, "eps_r_p": float(res.eps_r[0]), "eps_r_q": float(res.eps_r[1]),
-                "classical": spec.classical, "vacuous": res.vacuous}
-
-    records = _parallel_map(evaluate, tasks, args.parallel)
-
-    if fixed_ports and not spec.tele_covariant:
-        fixed_tasks = [(u, float(e), m) for u in rounds_list for e in eps_axis for m in fixed_ports]
-
-        def evaluate_fixed(task):
-            u, e, m = task
-            err = model_fn(m)
-            res = cu.channel_fail_lower_bound(
-                fid, u, m, float(err.per_channel[0]), float(err.per_channel[-1]),
-                (0.5, 0.5), (e, e)
-            )
-            return {**base, "kind": "fixed_ports", "u": u, "ports": m, "eps": e,
-                    "bound": res.value, "eps_r_p": float(res.eps_r[0]), "eps_r_q": float(res.eps_r[1]),
-                    "classical": False, "vacuous": res.vacuous}
-
-        records += _parallel_map(evaluate_fixed, fixed_tasks, args.parallel)
+    records = [record(i * len(sweep) + int(b), kind, spec.classical) for i, b in enumerate(best)]
+    records += [record(k, "fixed_ports", False) for k in range(n_sweep, len(lanes))]
 
     params = {"model": model, **values,
               "rounds": rounds_list, "grid": grid, "eps_max": eps_max, "m_max": m_max,
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--grid", type=int, default=None, help="override grid resolution")
-        p.add_argument("--parallel", type=int, default=1, help="worker threads for sweep points")
+        p.add_argument("--parallel", type=int, default=1, help="worker threads for state-binary points")
 
     p = sub.add_parser("state-binary", help="pure-pair tolerance sweep")
     common(p)

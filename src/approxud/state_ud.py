@@ -124,7 +124,7 @@ def _equal_prior_pf(xi, w):
     return 1.0 - (1.0 - xi) / (1.0 - w)
 
 
-def _curve_delta(beta: np.ndarray, xi: float, w: np.ndarray) -> np.ndarray:
+def _curve_delta(beta: np.ndarray, xi, w: np.ndarray) -> np.ndarray:
     """Smallest delta with sin(b)sin(d) + w cos(b)cos(d) = xi.
 
     Defined for beta at or above the surface's start, where
@@ -136,7 +136,7 @@ def _curve_delta(beta: np.ndarray, xi: float, w: np.ndarray) -> np.ndarray:
     return np.clip(delta, 0.0, np.pi / 2)
 
 
-def _surface_value(beta: np.ndarray, xi: float, w: np.ndarray, p: float, q: float) -> np.ndarray:
+def _surface_value(beta: np.ndarray, xi, w: np.ndarray, p: float, q: float) -> np.ndarray:
     return p * np.sin(beta) ** 2 + q * np.sin(_curve_delta(beta, xi, w)) ** 2
 
 
@@ -147,7 +147,7 @@ _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 2 * _ZOOM + 1)
 _CHUNK = 1024
 
 
-def _surface_search(xi: float, w, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _surface_search(xi, w, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least p sin^2(b) + q sin^2(d) on the active surface, per window top.
 
     For w < xi the constraint binds at the optimum, so delta is the smallest
@@ -156,33 +156,37 @@ def _surface_search(xi: float, w, p: float, q: float) -> tuple[np.ndarray, np.nd
     finds the best point; each of 8 zoom rounds rescans its neighbourhood
     (one scan step either side) at an 8 times finer step, so the final step
     is about 4e-10. Points are processed in chunks of 1024 window tops.
-    Returns (values, betas, deltas), each shaped like w.
+    xi is one overlap, or one per window top. Returns (values, betas,
+    deltas), each shaped like w.
     """
     w = np.asarray(w, dtype=float)
     shape = w.shape
     w = w.reshape(-1, 1)
+    # xi enters only through products and quotients, so a broadcast scalar
+    # gives the same bits as the scalar itself
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), shape).reshape(-1, 1)
     s2min = (xi * xi - w * w) / (1.0 - w * w)
     lo = np.arcsin(np.sqrt(np.clip(s2min, 0.0, 1.0)))
     t = np.linspace(0.0, 1.0, _SCAN)
     betas = np.empty(w.shape[0])
     for start in range(0, w.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        lo_c, w_c = lo[sl], w[sl]
+        lo_c, w_c, xi_c = lo[sl], w[sl], xi[sl]
         rows = np.arange(lo_c.shape[0])
         points = lo_c + (np.pi / 2 - lo_c) * t
         step = (np.pi / 2 - lo_c) / (_SCAN - 1)
         for _ in range(_ZOOM_ROUNDS + 1):
-            k = np.argmin(_surface_value(points, xi, w_c, p, q), axis=1)
+            k = np.argmin(_surface_value(points, xi_c, w_c, p, q), axis=1)
             best = points[rows, k][:, None]
             points = np.clip(best + step * _ZOOM_OFFSETS, lo_c, np.pi / 2)
             step = step / _ZOOM
         betas[sl] = best[:, 0]
-    deltas = _curve_delta(betas, xi, w[:, 0])
+    deltas = _curve_delta(betas, xi[:, 0], w[:, 0])
     vals = p * np.sin(betas) ** 2 + q * np.sin(deltas) ** 2
     return vals.reshape(shape), betas.reshape(shape), deltas.reshape(shape)
 
 
-def _pf_values(xi: float, w, p: float, q: float):
+def _pf_values(xi, w, p: float, q: float):
     """Pure-pair values at window tops w < xi: the closed form at equal
     priors, else the surface search."""
     if abs(p - q) < 1e-12:
@@ -218,34 +222,43 @@ def pure_pair_pf(xi: float, eps_p: float, eps_q: float, prior_p: float = 0.5, pr
     return solve_pure_pair(BinaryPureProblem(xi, prior_p, prior_q, eps_p, eps_q)).p_fail
 
 
-def _pf_fast(xi: float, eps_p: float, eps_q: float, prior_p: float, prior_q: float) -> float:
-    """Scalar pure-pair value for inner loops (bisections).
-
-    The value of solve_pure_pair without validating the problem or building
-    the solution; it skips only the snap of values within 1e-12 of 1 to 1.
-    """
-    w = _window_top(eps_p, eps_q)
-    if w >= xi:
-        return 0.0
-    return float(_pf_values(xi, w, prior_p, prior_q))
-
-
 def pure_pair_pf_batch(
-    xi: float,
+    xi,
     eps_p: np.ndarray,
     eps_q: np.ndarray,
     prior_p: float = 0.5,
     prior_q: float = 0.5,
 ) -> np.ndarray:
-    """Vectorized pure-pair values over arrays of tolerance pairs."""
+    """Vectorized pure-pair values over arrays of tolerance pairs, at one
+    overlap xi or one per pair.
+
+    The value of solve_pure_pair without validating the problem or building
+    the solution; it skips only the snap of values within 1e-12 of 1 to 1.
+    """
     ep = np.asarray(eps_p, dtype=float).reshape(-1)
     eq = np.asarray(eps_q, dtype=float).reshape(-1)
+    xi = np.asarray(xi, dtype=float)
     w = _window_top(ep, eq)
-    out = np.zeros(ep.shape)
     live = w < xi
-    if np.any(live):
-        out[live] = _pf_values(xi, w[live], prior_p, prior_q)
-    return np.clip(out, 0.0, 1.0)
+    if live.all():  # the common case in a bisection: no masking needed
+        out = _pf_values(xi, w, prior_p, prior_q)
+    else:
+        out = np.zeros(ep.shape)
+        if live.any():
+            out[live] = _pf_values(xi[live] if xi.ndim else xi, w[live], prior_p, prior_q)
+    # the same as np.clip, at half its call overhead on the short arrays of
+    # the bisection lanes
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
+def _pf_fast(xi: float, eps_p: float, eps_q: float, prior_p: float, prior_q: float) -> float:
+    """One-point view of pure_pair_pf_batch.
+
+    Nothing in the library calls it: benchmark/tracing.py wraps it by name
+    (as channel_ud._pf_fast), and it goes once the library records its own
+    spans (ROADMAP item 1).
+    """
+    return float(pure_pair_pf_batch(xi, eps_p, eps_q, prior_p, prior_q)[0])
 
 
 def analytic_pf_bound(
@@ -284,6 +297,122 @@ class UnrescaledPoint(NamedTuple):
     vacuous: bool = False
 
 
+class UnrescaledLanes(NamedTuple):
+    """invert_unrescaled_lanes per lane: values (L,), rescaled points (L, 2)
+    and vacuous flags (L,)."""
+
+    p_fail: np.ndarray
+    eps_r: np.ndarray
+    vacuous: np.ndarray
+
+
+def invert_unrescaled_lanes(
+    xi,
+    priors: tuple[float, float],
+    eps_u,
+    widening=(0.0, 0.0),
+    side: str = "cover",
+) -> UnrescaledLanes:
+    """Pure-pair values at un-rescaled tolerances, rounded to one side, for
+    many lanes at once.
+
+    A rescaled point eps_R with value pf implies the un-rescaled tolerance
+    (1 - pf) eps_R - widening. pf depends on eps_R only through the window
+    top w, falls as w grows, and w grows with each tolerance; so the point
+    where the implied tolerance meets eps_u lies on the ray through
+    c = eps_u + widening. Each lane bisects its ray and stops once the
+    values at its ends differ by at most 1e-13, or the ends are adjacent
+    floats, or after 200 steps. side="cover" returns the end whose
+    float-computed implied tolerance is at least eps_u in each component,
+    with no slack, and whose value is at most the crossing value (a lower
+    bound). side="achieve" returns the end whose implied tolerance is at most
+    eps_u, with a value at least the crossing value (a strategy's upper
+    bound). c = 0 returns eps_R = 0 exactly; a request that the ray's end
+    (value 0) does not cover comes back vacuous, with value 0 and eps_R = 0.
+
+    xi has shape (L,), eps_u and widening (L, 2); any of them broadcasts, and
+    the priors and side are shared. The lanes run in lockstep: each step
+    probes every lane still bisecting in one pure_pair_pf_batch call. A lane
+    takes the same steps as it would alone, so its result does not depend
+    on the other lanes.
+    """
+    if side not in ("cover", "achieve"):
+        raise ValueError("side must be 'cover' or 'achieve'")
+    xi, req, wid = np.broadcast_arrays(
+        np.asarray(xi, dtype=float).reshape(-1, 1),
+        np.asarray(eps_u, dtype=float).reshape(-1, 2),
+        np.asarray(widening, dtype=float).reshape(-1, 2),
+    )
+    xi = xi[:, 0]
+    if not np.all((0.0 <= req) & (req <= 1.0)):
+        raise ValueError("requested tolerances must lie in [0, 1]")
+    if not (np.all((0.0 <= xi) & (xi <= 1.0)) and np.all(wid >= 0.0)):
+        raise ValueError("overlap must lie in [0, 1] and widening be nonnegative")
+    p, q = priors
+    cover = side == "cover"
+    n = xi.shape[0]
+    # t = 0 lies before the crossing on either side
+    pf_out = pure_pair_pf_batch(xi, np.zeros(n), np.zeros(n), p, q)
+    eps_r = np.zeros((n, 2))
+    vacuous = np.zeros(n, dtype=bool)
+    c = req + wid
+    c_max = c.max(axis=1)
+    lanes = np.flatnonzero(c_max > 0.0)  # the others keep eps_R = 0 exactly
+    d = c[lanes] / c_max[lanes, None]
+    # one column per running lane: overlap, ray direction, request, widening
+    xi_l, d_p, d_q = xi[lanes], d[:, 0], d[:, 1]
+    req_p, req_q, wid_p, wid_q = req[lanes, 0], req[lanes, 1], wid[lanes, 0], wid[lanes, 1]
+
+    def probe(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each running lane's point at t lies past the crossing, and
+        its value."""
+        a, b = t * d_p, t * d_q
+        pf = pure_pair_pf_batch(xi_l, a, b, p, q)
+        imp_p, imp_q = (1.0 - pf) * a - wid_p, (1.0 - pf) * b - wid_q
+        if cover:
+            return (imp_p >= req_p) & (imp_q >= req_q), pf
+        return ~((imp_p <= req_p) & (imp_q <= req_q)), pf
+
+    def finish(stop: np.ndarray) -> None:
+        """Write out the stopped lanes: the end past the crossing on the
+        cover side, the end before it on the achieve side."""
+        t, pf = (hi, pf_hi) if cover else (lo, pf_lo)
+        done = lanes[stop]
+        pf_out[done] = pf[stop]
+        eps_r[done, 0], eps_r[done, 1] = t[stop] * d_p[stop], t[stop] * d_q[stop]
+
+    # lo stays before the crossing, hi past it
+    lo, hi, pf_lo = np.zeros(lanes.size), np.ones(lanes.size), pf_out[lanes]
+    past, pf_hi = probe(hi)
+    if cover:  # not even the ray's end covers
+        vacuous[lanes[~past]] = True
+        pf_out[lanes[~past]] = 0.0
+    else:  # every point of the ray achieves, its end too
+        np.copyto(lo, hi, where=~past)
+        np.copyto(pf_lo, pf_hi, where=~past)
+        finish(~past)
+    cols = (lanes, xi_l, d_p, d_q, req_p, req_q, wid_p, wid_q, lo, hi, pf_lo, pf_hi)
+    lanes, xi_l, d_p, d_q, req_p, req_q, wid_p, wid_q, lo, hi, pf_lo, pf_hi = (a[past] for a in cols)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        run = (pf_lo - pf_hi > 1e-13) & (lo < mid) & (mid < hi)
+        if not run.all():
+            finish(~run)
+            cols = (lanes, xi_l, d_p, d_q, req_p, req_q, wid_p, wid_q, lo, hi, pf_lo, pf_hi, mid)
+            lanes, xi_l, d_p, d_q, req_p, req_q, wid_p, wid_q, lo, hi, pf_lo, pf_hi, mid = (
+                a[run] for a in cols
+            )
+            if not lanes.size:
+                break
+        past, pf = probe(mid)
+        np.copyto(hi, mid, where=past)
+        np.copyto(pf_hi, pf, where=past)
+        np.copyto(lo, mid, where=~past)
+        np.copyto(pf_lo, pf, where=~past)
+    finish(np.ones(lanes.size, dtype=bool))  # lanes that used every step
+    return UnrescaledLanes(pf_out, eps_r, vacuous)
+
+
 def invert_unrescaled(
     xi: float,
     priors: tuple[float, float],
@@ -291,65 +420,10 @@ def invert_unrescaled(
     widening: tuple[float, float] = (0.0, 0.0),
     side: str = "cover",
 ) -> UnrescaledPoint:
-    """Pure-pair value at un-rescaled tolerances, rounded to one side.
-
-    A rescaled point eps_R with value pf implies the un-rescaled tolerance
-    (1 - pf) eps_R - widening. pf depends on eps_R only through the window
-    top w, falls as w grows, and w grows with each tolerance; so the point
-    where the implied tolerance meets eps_u lies on the ray through
-    c = eps_u + widening. One bisection along it stops once the values at
-    its ends differ by at most 1e-13, or the ends are adjacent floats.
-    side="cover" returns the end whose float-computed implied tolerance is
-    at least eps_u in each component, with no slack, and whose value is at
-    most the crossing value (a lower bound). side="achieve" returns the end
-    whose implied tolerance is at most eps_u, with a value at least the
-    crossing value (a strategy's upper bound). c = 0 returns eps_R = 0
-    exactly; a request that the ray's end (value 0) does not cover comes
-    back vacuous, with value 0 and eps_R = 0.
-    """
-    req_p, req_q = (float(e) for e in eps_u)
-    wid_p, wid_q = (float(v) for v in widening)
-    if side not in ("cover", "achieve"):
-        raise ValueError("side must be 'cover' or 'achieve'")
-    if not (0.0 <= req_p <= 1.0 and 0.0 <= req_q <= 1.0):
-        raise ValueError("requested tolerances must lie in [0, 1]")
-    if not (0.0 <= xi <= 1.0 and wid_p >= 0.0 and wid_q >= 0.0):
-        raise ValueError("overlap must lie in [0, 1] and widening be nonnegative")
-    p, q = priors
-    cover = side == "cover"
-    lo, pf_lo = 0.0, _pf_fast(xi, 0.0, 0.0, p, q)
-    c_max = max(req_p + wid_p, req_q + wid_q)
-    if c_max == 0.0:
-        return UnrescaledPoint(pf_lo, np.zeros(2))
-    d_p, d_q = (req_p + wid_p) / c_max, (req_q + wid_q) / c_max
-
-    def probe(t: float) -> tuple[bool, float]:
-        """Whether the point at t lies past the crossing, and its value."""
-        a, b = t * d_p, t * d_q
-        pf = _pf_fast(xi, a, b, p, q)
-        imp_p, imp_q = (1.0 - pf) * a - wid_p, (1.0 - pf) * b - wid_q
-        if cover:
-            return imp_p >= req_p and imp_q >= req_q, pf
-        return not (imp_p <= req_p and imp_q <= req_q), pf
-
-    # t = 0 lies before the crossing on either side; lo stays before, hi past
-    hi = 1.0
-    past, pf_hi = probe(hi)
-    if not past and cover:  # not even the ray's end covers
-        return UnrescaledPoint(0.0, np.zeros(2), True)
-    if not past:  # every point of the ray achieves
-        return UnrescaledPoint(pf_hi, np.array([d_p, d_q]))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pf_lo - pf_hi <= 1e-13 or not lo < mid < hi:
-            break
-        past, pf = probe(mid)
-        if past:
-            hi, pf_hi = mid, pf
-        else:
-            lo, pf_lo = mid, pf
-    t, pf = (hi, pf_hi) if cover else (lo, pf_lo)
-    return UnrescaledPoint(pf, np.array([t * d_p, t * d_q]))
+    """Pure-pair value at un-rescaled tolerances, rounded to one side: the
+    one-lane call of invert_unrescaled_lanes, which documents the sides."""
+    lanes = invert_unrescaled_lanes(xi, priors, eps_u, widening, side)
+    return UnrescaledPoint(float(lanes.p_fail[0]), lanes.eps_r[0], bool(lanes.vacuous[0]))
 
 
 def helstrom_tangency(xi: float, prior_p: float = 0.5, prior_q: float = 0.5) -> tuple[float, float]:
@@ -586,15 +660,15 @@ def erasure_pair_fidelity(eta: float, xi: float) -> float:
     return float(eta * xi + (1.0 - eta))
 
 
-def erasure_pair_strategy(
+def erasure_pair_strategies(
     eta: float,
     xi: float,
     prior_p: float,
     prior_q: float,
-    a: float,
-    eps_inner: tuple[float, float],
-) -> OperatingPoint:
-    """Two-step measurement for the erasure-mixture pair.
+    a_values,
+    eps_inner,
+) -> list[OperatingPoint]:
+    """Two-step measurements for the erasure-mixture pair, over a grid.
 
     Project onto the common component first: on a hit abstain with
     probability a, else guess by the prior; on a miss run the optimal
@@ -603,16 +677,39 @@ def erasure_pair_strategy(
 
         p_fail = eta * pf_pure(eps_inner) + (1 - eta) a,
         eps_p  = (1 - eta)(1 - a) q + eta eps_inner_p   (and symmetrically).
+
+    Returns the point of every a in a_values with every inner tolerance pair
+    in eps_inner (shape (K, 2)), a-major. pf_pure does not depend on a, so
+    the K inner tolerances are inverted once, in one lane call on the
+    "achieve" side.
     """
-    if not 0.0 <= a <= 1.0:
+    a_values = [float(a) for a in a_values]
+    if not all(0.0 <= a <= 1.0 for a in a_values):
         raise ValueError("abstention probability a must lie in [0, 1]")
-    pf_inner = invert_unrescaled(xi, (prior_p, prior_q), eps_inner, side="achieve").p_fail
-    p_fail = eta * pf_inner + (1.0 - eta) * a
-    eps_p = (1.0 - eta) * (1.0 - a) * prior_q + eta * eps_inner[0]
-    eps_q = (1.0 - eta) * (1.0 - a) * prior_p + eta * eps_inner[1]
-    return OperatingPoint(
-        ToleranceVector(np.array([eps_p, eps_q]), "U"), float(np.clip(p_fail, 0.0, 1.0))
-    )
+    inner = np.asarray(eps_inner, dtype=float).reshape(-1, 2)
+    pf_inner = invert_unrescaled_lanes(xi, (prior_p, prior_q), inner, side="achieve").p_fail
+    points = []
+    for a in a_values:
+        for (e_p, e_q), pf in zip(inner.tolist(), pf_inner.tolist()):
+            p_fail = eta * pf + (1.0 - eta) * a
+            eps_p = (1.0 - eta) * (1.0 - a) * prior_q + eta * e_p
+            eps_q = (1.0 - eta) * (1.0 - a) * prior_p + eta * e_q
+            points.append(OperatingPoint(
+                ToleranceVector(np.array([eps_p, eps_q]), "U"), float(np.clip(p_fail, 0.0, 1.0))
+            ))
+    return points
+
+
+def erasure_pair_strategy(
+    eta: float,
+    xi: float,
+    prior_p: float,
+    prior_q: float,
+    a: float,
+    eps_inner: tuple[float, float],
+) -> OperatingPoint:
+    """One point of erasure_pair_strategies."""
+    return erasure_pair_strategies(eta, xi, prior_p, prior_q, [a], [eps_inner])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +765,8 @@ def erasure_upper_hull(
     inner_grid = np.concatenate(
         [np.linspace(0.0, 1.2 * helstrom_inner, n_inner), [1.0]]
     )
-    for a in np.linspace(0.0, 1.0, n_a):
-        for e_in in inner_grid:
-            point = erasure_pair_strategy(eta, xi, 0.5, 0.5, float(a), (float(e_in), float(e_in)))
-            pts.append((float(point.eps.values[0]), point.p_fail))
+    strategies = erasure_pair_strategies(
+        eta, xi, 0.5, 0.5, np.linspace(0.0, 1.0, n_a), np.column_stack([inner_grid, inner_grid])
+    )
+    pts += [(float(point.eps.values[0]), point.p_fail) for point in strategies]
     return lower_convex_hull(pts)

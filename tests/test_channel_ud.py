@@ -116,6 +116,16 @@ class TestSimulationError:
         assert cu.choi_fidelity_power(0.729150, 1, 1) == pytest.approx(0.729150)
         assert cu.choi_fidelity_power(0.9, 2, 3) == pytest.approx(0.531441, abs=1e-12)
 
+    def test_rounds_and_ports_each_at_least_one(self):
+        # a product rounds * ports >= 1 used to let rounds = ports = -1 through
+        for rounds, ports in ((-1, -1), (0, 3), (2, 0), (-2, -3)):
+            with pytest.raises(ValueError, match="round and one port"):
+                cu.choi_fidelity_power(0.9, rounds, ports)
+        with pytest.raises(ValueError, match="round and one port"):
+            cu.channel_fail_lower_bound(0.9, -1, -1, 0.0, 0.0, (0.5, 0.5), (0.05, 0.05))
+        with pytest.raises(ValueError, match="round and one port"):
+            cu.channel_fail_lower_bound_lanes(0.9, [1, 2, -1], [3, 1, -1], 0.0, 0.0, (0.5, 0.5), (0.05, 0.05))
+
 
 class TestFidelityBound:
     def test_tele_covariant_matches_state_curve(self):
@@ -254,6 +264,29 @@ class TestPortOptimization:
                 (0.5, 0.5), (0.02, 0.02),
             )
             assert best.value >= res.value - 1e-12
+
+    def test_first_maximum_wins(self):
+        values = np.array([[0.1, 0.3, 0.3, 0.2], [0.0, 0.0, 0.0, 0.0], [0.5, 0.1, 0.5, 0.6]])
+        assert list(cu.best_port(values)) == [1, 0, 3]
+
+    def test_matches_a_strict_scan_of_single_port_bounds(self):
+        # the lane call over the port range reports the bound that a scan
+        # keeping only strictly larger values finds
+        fid = cu.amplitude_damping_choi_fidelity(0.9, 0.85)
+        model = cu.uniform_error_model(2)
+        for u, e in ((1, 0.0), (2, 0.01), (1, 0.3)):
+            best = cu.best_bound_over_ports(fid, u, model, (0.5, 0.5), (e, e), range(1, 31))
+            scan = None
+            for m in range(1, 31):
+                err = model(m)
+                res = cu.channel_fail_lower_bound(
+                    fid, u, m, float(err.per_channel[0]), float(err.per_channel[1]), (0.5, 0.5), (e, e)
+                )
+                if scan is None or res.value > scan.value:
+                    scan = res
+            assert (best.ports, best.value, best.vacuous) == (scan.ports, scan.value, scan.vacuous)
+            assert np.array_equal(best.eps_r, scan.eps_r)
+            assert np.array_equal(best.eps_u_implied, scan.eps_u_implied)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

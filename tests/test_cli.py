@@ -4,11 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from approxud import channel_ud as cu
 from approxud.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_VACUOUS,
     EXIT_VALIDATION,
+    _CHANNEL_DEFAULTS,
+    _fmt,
     load_ensemble,
     main,
     povm_from_pairs,
@@ -246,6 +249,83 @@ class TestChannel:
             assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
         cfg = write_config(tmp_path / "cfg.json", {"model": "ad", "r_p": 0.9, "r_q": -0.1, "rounds": [1]})
         assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+
+
+def channel_records_by_point(cfg):
+    """The channel CSV rows a config asks for, rebuilt from one
+    channel_fail_lower_bound call per (u, eps, ports) point, with a port scan
+    that keeps only strictly larger bounds, formatted through _fmt."""
+    spec = cu.CHANNEL_MODELS[cfg["model"]]
+    values = {k: float(cfg.get(k, d)) for k, d in _CHANNEL_DEFAULTS.items()}
+    fid = spec.fidelity_at(values)
+    model = cu.uniform_error_model(2)
+    eps_axis = np.linspace(0.0, cfg["eps_max"], cfg["grid"])
+    params = [values[k] if k in spec.params else None for k in _CHANNEL_DEFAULTS]
+
+    def bound(u, e, m):
+        if spec.tele_covariant:
+            return cu.channel_fail_lower_bound(fid, u, m, 0.0, 0.0, (0.5, 0.5), (e, e), spec.classical)
+        err = model(m).per_channel
+        return cu.channel_fail_lower_bound(fid, u, m, float(err[0]), float(err[1]), (0.5, 0.5), (e, e))
+
+    def row(kind, u, e, res, classical):
+        fields = ["channel", cfg["model"], kind, *params, u, res.ports, e, res.value,
+                  float(res.eps_r[0]), float(res.eps_r[1]), classical, res.vacuous]
+        return [_fmt(v) for v in fields]
+
+    rows = []
+    for u in cfg["rounds"]:
+        for e in eps_axis:
+            if spec.tele_covariant:
+                rows.append(row("bound", u, float(e), bound(u, float(e), 1), spec.classical))
+                continue
+            best = None
+            for m in range(1, cfg["m_max"] + 1):
+                res = bound(u, float(e), m)
+                if best is None or res.value > best.value:
+                    best = res
+            rows.append(row("optimal_ports", u, float(e), best, False))
+    if not spec.tele_covariant:
+        for u in cfg["rounds"]:
+            for e in eps_axis:
+                for m in cfg.get("fixed_ports", []):
+                    rows.append(row("fixed_ports", u, float(e), bound(u, float(e), m), False))
+    return rows
+
+
+class TestChannelLanes:
+    """The channel command evaluates every (u, eps, ports) point of its sweep
+    in one lane call; its records equal those of one call per point."""
+
+    @pytest.mark.parametrize("cfg", [
+        {"model": "ad", "r_p": 0.9, "r_q": 0.8, "rounds": [1, 2], "grid": 2, "eps_max": 0.02,
+         "m_max": 60, "fixed_ports": [1, 45, 60]},
+        {"model": "pauli", "eta": 0.6, "rounds": [1, 2, 3], "grid": 5, "eps_max": 0.3},
+        {"model": "erasure", "eta": 0.3, "overlap": 0.45, "rounds": [1, 3], "grid": 5, "eps_max": 0.2},
+        {"model": "classical-pauli", "eta": 0.4, "rounds": [1, 2], "grid": 5, "eps_max": 0.3},
+        {"model": "classical-erasure", "eta": 0.6, "overlap": 0.3, "rounds": [2], "grid": 5, "eps_max": 0.3},
+    ], ids=lambda cfg: cfg["model"])
+    def test_records_equal_one_call_per_point(self, tmp_path, cfg):
+        out = tmp_path / "out.csv"
+        code = main(["channel", "--config", write_config(tmp_path / "cfg.json", cfg), "--out", str(out)])
+        assert code == EXIT_OK
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:2] == ["command", "model"] and header[-2:] == ["classical", "vacuous"]
+        assert rows == channel_records_by_point(cfg)
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("grid", 0, "grid"), ("rounds", [], "rounds"), ("rounds", [1, 0], "round"), ("rounds", [-1], "round"),
+    ])
+    def test_empty_or_negative_sweep_is_validation_error(self, tmp_path, capsys, key, value, name):
+        # grid 0 and an empty rounds list used to write a header-only CSV and
+        # exit 4, as if every bound were vacuous
+        for model in ("pauli", "ad"):
+            cfg = write_config(tmp_path / "cfg.json", {"model": model, "eps_max": 0.1, "m_max": 5, key: value})
+            out = tmp_path / "out.csv"
+            assert main(["channel", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+            assert name in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestSolve:

@@ -194,8 +194,11 @@ class TestToleranceMaps:
 
 
 def unrescaled_values(xi, eps_grid):
-    """The pure-pair trade-off in un-rescaled coordinates on a tolerance grid."""
-    return np.array([su.invert_unrescaled(xi, (0.5, 0.5), (float(e), float(e))).p_fail for e in eps_grid])
+    """The pure-pair trade-off in un-rescaled coordinates on a tolerance grid
+    (one lane per grid point; TestInversionLanes checks each lane against its
+    single-lane call)."""
+    eps = np.asarray(eps_grid, dtype=float)
+    return su.invert_unrescaled_lanes(xi, (0.5, 0.5), np.column_stack([eps, eps])).p_fail
 
 
 def ray_crossing(xi, p, eps_u, widening):
@@ -329,6 +332,75 @@ class TestInversion:
         else:
             assert np.all(implied <= eps_u)
             assert pt.p_fail >= past - noise
+
+
+def lane_requests(seed, n):
+    """n random (overlap, request, widening) lanes: each request component is
+    0 or 1e-15 to 0.25, each widening component 0, up to 0.05 or up to 0.9.
+    Drawn with numpy from a hypothesis seed, since hypothesis takes about
+    1 ms per drawn lane."""
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.02, 0.98, n)
+    eps_u = np.where(rng.random((n, 2)) < 0.25, 0.0, 10.0 ** rng.uniform(-15.0, -0.6, (n, 2)))
+    kind = rng.integers(0, 3, (n, 2))
+    widening = np.where(kind == 0, 0.0, rng.uniform(0.0, np.where(kind == 1, 0.05, 0.9)))
+    return xi, eps_u, widening
+
+
+class TestInversionLanes:
+    """One lane call equals one single-lane call per lane."""
+
+    @staticmethod
+    def check_lane(lanes, k, xi, p, eps_u, widening, side):
+        one = su.invert_unrescaled(float(xi[k]), (p, 1 - p), tuple(eps_u[k]), tuple(widening[k]), side)
+        assert bool(lanes.vacuous[k]) == one.vacuous
+        implied = (1 - lanes.p_fail[k]) * lanes.eps_r[k] - widening[k]
+        if side == "cover" and not one.vacuous:
+            assert np.all(implied >= eps_u[k])
+        elif side == "achieve":
+            assert np.all(implied <= eps_u[k])
+        return one
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.sampled_from(["cover", "achieve"]))
+    def test_equal_priors_bit_equal(self, seed, n, side):
+        xi, eps_u, widening = lane_requests(seed, n)
+        lanes = su.invert_unrescaled_lanes(xi, (0.5, 0.5), eps_u, widening, side)
+        assert lanes.p_fail.shape == (n,) and lanes.eps_r.shape == (n, 2) and lanes.vacuous.shape == (n,)
+        for k in range(n):
+            one = self.check_lane(lanes, k, xi, 0.5, eps_u, widening, side)
+            assert lanes.p_fail[k] == one.p_fail
+            assert lanes.eps_r[k, 0] == one.eps_r[0] and lanes.eps_r[k, 1] == one.eps_r[1]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.floats(0.1, 0.9),
+           st.sampled_from(["cover", "achieve"]), st.data())
+    def test_unequal_priors_agree(self, seed, n, p, side, data):
+        # the surface search runs sin and arcsin over arrays whose length
+        # depends on the lanes, and numpy does not promise the same rounding
+        # for every length, so values agree to 1e-14; one single-lane
+        # inversion with it costs about 20 ms, so two lanes of each call are
+        # checked
+        xi, eps_u, widening = lane_requests(seed, n)
+        lanes = su.invert_unrescaled_lanes(xi, (p, 1 - p), eps_u, widening, side)
+        for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+            one = self.check_lane(lanes, k, xi, p, eps_u, widening, side)
+            assert lanes.p_fail[k] == pytest.approx(one.p_fail, abs=1e-14)
+
+    def test_broadcasts_one_overlap_and_one_widening(self):
+        eps = np.array([[0.0, 0.0], [1e-12, 1e-12], [0.01, 0.03]])
+        lanes = su.invert_unrescaled_lanes(0.4, (0.5, 0.5), eps, (0.002, 0.0))
+        for k in range(3):
+            one = su.invert_unrescaled(0.4, (0.5, 0.5), tuple(eps[k]), (0.002, 0.0))
+            assert lanes.p_fail[k] == one.p_fail and np.array_equal(lanes.eps_r[k], one.eps_r)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="requested"):
+            su.invert_unrescaled_lanes([0.3, 0.4], (0.5, 0.5), [[0.1, 0.1], [0.1, 1.5]])
+        with pytest.raises(ValueError, match="overlap"):
+            su.invert_unrescaled_lanes([0.3, 1.2], (0.5, 0.5), [0.1, 0.1])
+        with pytest.raises(ValueError, match="side"):
+            su.invert_unrescaled_lanes([0.3], (0.5, 0.5), [0.1, 0.1], side="upper")
 
 
 class TestHelstrom:
@@ -556,6 +628,21 @@ class TestErasureModel:
         e_inner = HELSTROM_TOL_03
         point = su.erasure_pair_strategy(0.6, 0.3, 0.5, 0.5, 0.0, (e_inner, e_inner))
         assert point.p_fail == pytest.approx(0.0, abs=1e-6)
+
+    def test_strategy_grid_inverts_each_inner_tolerance_once(self):
+        # every (a, inner tolerance) point of the grid matches the two-step
+        # formula with its own "achieve" inversion
+        eta, xi = 0.6, 0.3
+        inner = [(0.0, 0.0), (0.01, 0.02), (HELSTROM_TOL_03, HELSTROM_TOL_03)]
+        points = su.erasure_pair_strategies(eta, xi, 0.5, 0.5, [0.0, 0.25, 1.0], inner)
+        assert len(points) == 9
+        for k, (a, e_in) in enumerate((a, e) for a in (0.0, 0.25, 1.0) for e in inner):
+            pf = su.invert_unrescaled(xi, (0.5, 0.5), e_in, side="achieve").p_fail
+            assert points[k].p_fail == pytest.approx(eta * pf + (1 - eta) * a, abs=1e-15)
+            expect = (1 - eta) * (1 - a) * 0.5 + eta * np.array(e_in)
+            np.testing.assert_allclose(points[k].eps.values, expect, atol=1e-15)
+        with pytest.raises(ValueError, match="abstention"):
+            su.erasure_pair_strategies(eta, xi, 0.5, 0.5, [0.5, 1.5], inner)
 
     def test_strategy_dominates_fidelity_bound(self):
         # upper-bound curve must sit above the lower bound everywhere
