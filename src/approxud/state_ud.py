@@ -402,8 +402,8 @@ def invert_unrescaled_lanes(
             lanes, xi_l, d_p, d_q, req_p, req_q, wid_p, wid_q, lo, hi, pf_lo, pf_hi, mid = (
                 a[run] for a in cols
             )
-            if not lanes.size:
-                break
+        if not lanes.size:
+            break
         past, pf = probe(mid)
         np.copyto(hi, mid, where=past)
         np.copyto(pf_hi, pf, where=past)

@@ -361,7 +361,7 @@ class TestInversionLanes:
             assert np.all(implied <= eps_u[k])
         return one
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.sampled_from(["cover", "achieve"]))
     def test_equal_priors_bit_equal(self, seed, n, side):
         xi, eps_u, widening = lane_requests(seed, n)
@@ -393,6 +393,21 @@ class TestInversionLanes:
         for k in range(3):
             one = su.invert_unrescaled(0.4, (0.5, 0.5), tuple(eps[k]), (0.002, 0.0))
             assert lanes.p_fail[k] == one.p_fail and np.array_equal(lanes.eps_r[k], one.eps_r)
+
+    def test_settled_lanes_take_no_steps(self, monkeypatch):
+        # a call whose lanes are all settled before bisecting (zero request,
+        # vacuous, or every point achieves) probes only t = 0 and t = 1
+        calls = []
+        batch = su.pure_pair_pf_batch
+        monkeypatch.setattr(su, "pure_pair_pf_batch", lambda *a: calls.append(a) or batch(*a))
+        for args in (((0.0, 0.0), (0.0, 0.0), "cover"), ((0.5, 0.2), (0.6, 0.0), "cover"),
+                     ((0.5, 0.5), (0.6, 0.6), "achieve")):
+            calls.clear()
+            su.invert_unrescaled_lanes([0.3, 0.4], (0.5, 0.5), *args)
+            assert len(calls) == 2
+        calls.clear()
+        su.invert_unrescaled_lanes(0.3, (0.5, 0.5), (0.01, 0.01))
+        assert 2 < len(calls) <= 202
 
     def test_validation(self):
         with pytest.raises(ValueError, match="requested"):
