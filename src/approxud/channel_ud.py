@@ -47,7 +47,7 @@ from .state_ud import (
     invert_unrescaled_lanes,
 )
 
-# benchmark/tracing.py wraps the pure-pair probes under this module name
+# benchmark/tracing.py wraps this name; nothing here calls it (ROADMAP item 1)
 from .state_ud import _pf_fast  # noqa: F401
 
 _TP_TOL = 1e-10

@@ -27,9 +27,11 @@ eps_p + eps_q >= 1 every residual overlap is admissible and the failure
 probability is zero.) The objective p sin^2(beta) + q sin^2(delta) is
 minimized on that set.
 
-Un-rescaled tolerances go through one inversion, invert_unrescaled, which
-rounds to the side its caller needs: "cover" for lower bounds (the channel
-bound, the state-mixed lower bound), "achieve" for the erasure strategy.
+Un-rescaled tolerances go through one inversion, invert_unrescaled_lanes,
+which bisects many lanes in lockstep and rounds to the side its caller
+needs: "cover" for lower bounds (the channel bound, the state-mixed lower
+bound), "achieve" for the erasure strategy. invert_unrescaled is its
+one-lane call.
 """
 
 from __future__ import annotations
